@@ -1,5 +1,5 @@
 // Serving benchmark: sequential per-query ScoreQueries versus the
-// InferenceEngine with concurrent clients and micro-batching, on the
+// InferenceEngine with concurrent clients and continuous batching, on the
 // ICEWS14-like preset. Reports QPS, p50/p99 latency and the realised batch
 // size for a sweep of max_batch_size, plus the engine's own counters.
 //
@@ -9,8 +9,9 @@
 // 12.5% bucket resolution.
 //
 // The engine wins twice: the snapshot freezes the query-independent local
-// evolution (recomputed per call by ScoreQueries), and coalesced batches
-// amortise the query-subgraph encode + ConvTransE decode across clients.
+// evolution (recomputed per call by ScoreQueries), and each batch (the
+// requests that queued during the previous score) amortises the
+// query-subgraph encode + ConvTransE decode across clients.
 
 #include <algorithm>
 #include <chrono>
@@ -101,7 +102,6 @@ void Run() {
   for (int64_t max_batch : {int64_t{1}, int64_t{8}, int64_t{32}}) {
     EngineOptions options;
     options.max_batch_size = max_batch;
-    options.batch_deadline_us = 200;
     HistogramSnapshot before =
         Metrics().Snapshot().HistogramValue("logcl.serve.request_us");
     InferenceEngine engine(&model, horizon, options);
@@ -189,7 +189,6 @@ void RunPrecisionSweep() {
        {ScorePrecision::kFp32, ScorePrecision::kBf16, ScorePrecision::kInt8}) {
     EngineOptions options;
     options.max_batch_size = 32;
-    options.batch_deadline_us = 200;
     options.precision = precision;
     MetricsSnapshot baseline = Metrics().Snapshot();
     HistogramSnapshot before =

@@ -54,7 +54,6 @@ InferenceEngine::InferenceEngine(LogClModel* model, int64_t time,
       queue_depth_gauge_(Metrics().GetGauge("logcl.serve.queue_depth")) {
   LOGCL_CHECK(model != nullptr);
   LOGCL_CHECK_GE(options_.max_batch_size, 1);
-  LOGCL_CHECK_GE(options_.batch_deadline_us, 0);
   model_->SetEvalMode(true);
   snapshot_ = EngineSnapshot::Build(model_, time, options_.precision);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
@@ -140,7 +139,6 @@ Result<std::vector<std::pair<int64_t, float>>> InferenceEngine::TryTopK(
 void InferenceEngine::Pause() {
   std::unique_lock<std::mutex> lock(mu_);
   paused_ = true;
-  queue_cv_.notify_all();  // kick the dispatcher out of its coalescing wait
   idle_cv_.wait(lock, [&] { return !in_flight_; });
 }
 
@@ -180,20 +178,6 @@ void InferenceEngine::DispatcherLoop() {
       return stopping_ || (!paused_ && !queue_.empty());
     });
     if (stopping_ && queue_.empty()) return;  // drained
-    if (paused_ && !stopping_) continue;
-    if (queue_.empty()) continue;
-    // Deadline-bounded coalescing: hold the batch open for stragglers until
-    // the oldest request ages out or the batch fills. Shutdown and Pause
-    // flush immediately.
-    size_t target = static_cast<size_t>(options_.max_batch_size);
-    auto deadline = queue_.front().enqueued +
-                    std::chrono::microseconds(options_.batch_deadline_us);
-    while (!stopping_ && !paused_ && queue_.size() < target &&
-           std::chrono::steady_clock::now() < deadline) {
-      queue_cv_.wait_until(lock, deadline, [&] {
-        return stopping_ || paused_ || queue_.size() >= target;
-      });
-    }
     if (paused_ && !stopping_) continue;  // leave requests queued
     // Age out requests past the admission deadline: their seats go to
     // fresher requests and they answer kUnavailable without being scored.
@@ -207,8 +191,11 @@ void InferenceEngine::DispatcherLoop() {
       }
       stats_.shed += shed.size();
     }
+    // Continuous batching: score whatever is queued now, without waiting
+    // for stragglers; later arrivals form the next batch.
     std::vector<Request> batch;
-    size_t take = std::min(queue_.size(), target);
+    size_t take =
+        std::min(queue_.size(), static_cast<size_t>(options_.max_batch_size));
     batch.reserve(take);
     for (size_t i = 0; i < take; ++i) {
       batch.push_back(std::move(queue_.front()));
@@ -242,7 +229,7 @@ void InferenceEngine::ProcessBatch(
   std::vector<ServeQuery> queries;
   queries.reserve(batch.size());
   for (const Request& r : batch) {
-    // Time spent coalescing before scoring starts.
+    // Time spent queued before scoring starts.
     queue_wait_us_hist_->Record(ElapsedUs(r.enqueued));
     queries.push_back(r.query);
   }

@@ -1,12 +1,13 @@
 // InferenceEngine: a thread-safe serving front-end over EngineSnapshot.
 //
-// Concurrently submitted queries are coalesced by a micro-batcher: a
-// dedicated dispatcher thread collects pending requests until either
-// `max_batch_size` are waiting or the oldest request has waited
-// `batch_deadline_us`, then scores the whole batch as ONE decoder pass on
-// the shared compute thread pool (one query-subgraph encode and one
-// ConvTransE decode amortised over the batch). Submitters block on a
-// per-request future.
+// Concurrently submitted queries are continuously batched: whenever the
+// dedicated dispatcher thread is free, it takes everything queued (up to
+// `max_batch_size`, in FIFO order) and scores it as ONE decoder pass on the
+// shared compute thread pool (one query-subgraph encode and one ConvTransE
+// decode amortised over the batch). Nothing is held open for stragglers:
+// requests that arrive while a batch scores form the next batch, so batch
+// size grows with load on its own. Submitters block on a per-request
+// future.
 //
 // Top-k requests never materialise the full softmax (eval/ranking.h
 // TopKSoftmax); full-row requests copy the logits row out of the batch.
@@ -51,12 +52,9 @@
 namespace logcl {
 
 struct EngineOptions {
-  /// Flush a batch as soon as this many requests are pending.
+  /// Most requests scored in one decoder pass; a longer queue is served in
+  /// FIFO chunks of this size.
   int64_t max_batch_size = 32;
-  /// How long the batcher holds an incomplete batch open for stragglers,
-  /// measured from the oldest pending request's submission. 0 disables
-  /// coalescing (every request is its own batch).
-  int64_t batch_deadline_us = 200;
   /// Scoring precision for the engine's snapshots (defaults from
   /// LOGCL_QUANT; see serve/quant.h). Non-fp32 decodes in fp32, then scores
   /// against the candidate matrix quantized at snapshot build time. Falls
@@ -78,7 +76,7 @@ struct EngineStats {
   uint64_t requests = 0;        // queries submitted
   uint64_t batches = 0;         // decoder passes executed
   uint64_t advances = 0;        // snapshot swaps
-  uint64_t max_batch = 0;       // largest coalesced batch
+  uint64_t max_batch = 0;       // largest batch scored
   uint64_t peak_queue_depth = 0;  // most requests pending at once
   uint64_t total_latency_us = 0;  // submit -> answer, summed
   uint64_t max_latency_us = 0;

@@ -2,7 +2,7 @@
 //
 // A session owns the whole serve-while-learning loop around one LogCL model:
 //
-//   queries  ──► InferenceEngine (micro-batching + admission control)
+//   queries  ──► InferenceEngine (continuous batching + admission control)
 //   facts(t) ──► IngestSnapshot:
 //                  1. staleness eval — score the arrivals on the CURRENT
 //                     snapshot (horizon t, which has not seen t's facts);

@@ -72,19 +72,6 @@ BroadcastMode ResolveBroadcast(const Shape& a, const Shape& b) {
   return BroadcastMode::kSame;
 }
 
-// Index of the b element feeding a's flat index i.
-inline int64_t BroadcastIndex(BroadcastMode mode, int64_t i, int64_t cols) {
-  switch (mode) {
-    case BroadcastMode::kSame:
-      return i;
-    case BroadcastMode::kScalarB:
-      return 0;
-    case BroadcastMode::kRowB:
-      return i % cols;
-  }
-  return 0;
-}
-
 // ---------------------------------------------------------------------------
 // Blocked accumulate-matmul kernels (C += op(A) * op(B)) live in
 // tensor/simd.{h,cc} behind runtime ISA dispatch; the scalar variants there
@@ -106,6 +93,60 @@ using simd::MatMulRowGrain;
 // captures exactly these kinds (tensor/elementwise_kernels.h).
 using BinOpKind = ewise::BinaryKind;
 
+// The dispatched SIMD kernels for one known arithmetic kind, over n
+// contiguous elements. Each is per-element identical to the op's scalar
+// formula (tensor/simd.h): Add/Sub propagate g (Sub's b side as the exact
+// negation (-1)*g), Mul cross-multiplies by the co-factor with mul-then-add
+// rounding, same as `da = g*y; ga[i] += da`. `fresh` writes 0 + term into an
+// uninitialised grad buffer instead of accumulating.
+inline void BinaryForwardKernel(BinOpKind kind, const float* a, const float* b,
+                                float* out, int64_t n) {
+  switch (kind) {
+    case BinOpKind::kAdd:
+      return simd::Add(a, b, out, n);
+    case BinOpKind::kSub:
+      return simd::Sub(a, b, out, n);
+    case BinOpKind::kMul:
+      return simd::Mul(a, b, out, n);
+    case BinOpKind::kGeneric:
+      break;
+  }
+  LOGCL_CHECK(false) << "no SIMD kernel for a generic binary op";
+}
+
+// ga += dOut/da; `b` is the co-factor Mul reads.
+inline void BinaryGradAKernel(BinOpKind kind, const float* g, const float* b,
+                              float* ga, int64_t n, bool fresh) {
+  switch (kind) {
+    case BinOpKind::kAdd:
+    case BinOpKind::kSub:
+      return (fresh ? simd::AccumulateFresh : simd::Accumulate)(g, ga, n);
+    case BinOpKind::kMul:
+      return (fresh ? simd::MulAccumulateFresh : simd::MulAccumulate)(g, b,
+                                                                      ga, n);
+    case BinOpKind::kGeneric:
+      break;
+  }
+  LOGCL_CHECK(false) << "no SIMD kernel for a generic binary op";
+}
+
+// gb += dOut/db; `a` is the co-factor Mul reads.
+inline void BinaryGradBKernel(BinOpKind kind, const float* g, const float* a,
+                              float* gb, int64_t n, bool fresh) {
+  switch (kind) {
+    case BinOpKind::kAdd:
+      return (fresh ? simd::AccumulateFresh : simd::Accumulate)(g, gb, n);
+    case BinOpKind::kSub:
+      return (fresh ? simd::AxpyFresh : simd::Axpy)(-1.0f, g, gb, n);
+    case BinOpKind::kMul:
+      return (fresh ? simd::MulAccumulateFresh : simd::MulAccumulate)(g, a,
+                                                                      gb, n);
+    case BinOpKind::kGeneric:
+      break;
+  }
+  LOGCL_CHECK(false) << "no SIMD kernel for a generic binary op";
+}
+
 // ops.cc broadcast mode -> the tracer's mirror enum.
 inline jit::internal::TraceBroadcast ToTraceBroadcast(BroadcastMode mode) {
   switch (mode) {
@@ -119,7 +160,11 @@ inline jit::internal::TraceBroadcast ToTraceBroadcast(BroadcastMode mode) {
   return jit::internal::TraceBroadcast::kSame;
 }
 
-// Shared implementation for Add/Sub/Mul.
+// Shared implementation for Add/Sub/Mul. Same-shape and row-broadcast
+// operands ([n, d] op [1, d]: every Linear bias, the GRU gate biases, the
+// time gate) run the SIMD kernels of `kind`; a scalar b, and the generic
+// kind on same-shape operands, run the per-element lambdas. Row broadcast
+// requires a known kind.
 template <typename ForwardFn, typename BackwardFn>
 Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, ForwardFn fwd,
                          BackwardFn bwd,
@@ -129,40 +174,35 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, ForwardFn fwd,
   BroadcastMode mode = ResolveBroadcast(a.shape(), b.shape());
   int64_t n = a.num_elements();
   int64_t cols = a.shape().rank() == 2 ? a.shape().cols() : n;
+  int64_t rows = cols > 0 ? n / cols : 0;
   const float* av = a.data().data();
   const float* bv = b.data().data();
   std::vector<float> out = UninitOut(n);
   float* od = out.data();
   if (mode == BroadcastMode::kSame) {
     // Dedicated same-shape path: the dominant case on the autograd hot path.
-    // Known arithmetic kinds go through the dispatched SIMD kernels; both
-    // are per-element identical to the general loop below.
     ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-      switch (kind) {
-        case BinOpKind::kAdd:
-          simd::Add(av + i0, bv + i0, od + i0, i1 - i0);
-          break;
-        case BinOpKind::kSub:
-          simd::Sub(av + i0, bv + i0, od + i0, i1 - i0);
-          break;
-        case BinOpKind::kMul:
-          simd::Mul(av + i0, bv + i0, od + i0, i1 - i0);
-          break;
-        case BinOpKind::kGeneric:
-          for (int64_t i = i0; i < i1; ++i) od[i] = fwd(av[i], bv[i]);
-          break;
+      if (kind == BinOpKind::kGeneric) {
+        for (int64_t i = i0; i < i1; ++i) od[i] = fwd(av[i], bv[i]);
+      } else {
+        BinaryForwardKernel(kind, av + i0, bv + i0, od + i0, i1 - i0);
       }
     });
-  } else {
-    ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        od[i] = fwd(av[i], bv[BroadcastIndex(mode, i, cols)]);
+  } else if (mode == BroadcastMode::kRowB) {
+    // One kernel call per row against the shared b row.
+    ParallelFor(0, rows, RowGrain(cols), [&](int64_t r0, int64_t r1) {
+      for (int64_t r = r0; r < r1; ++r) {
+        BinaryForwardKernel(kind, av + r * cols, bv, od + r * cols, cols);
       }
+    });
+  } else {  // kScalarB
+    ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) od[i] = fwd(av[i], bv[0]);
     });
   }
   Tensor result = Tensor::MakeOpOutput(
       a.shape(), std::move(out), {a, b},
-      [mode, n, cols, bwd, kind](Node& node) {
+      [mode, n, rows, cols, bwd, kind](Node& node) {
         const auto& pa = node.parents[0];
         const auto& pb = node.parents[1];
         const float* g = node.grad.data();
@@ -181,48 +221,15 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, ForwardFn fwd,
         if (pb->requires_grad) gb = pb->GradForFullWrite(&fresh_b);
         if (mode == BroadcastMode::kSame) {
           if (kind != BinOpKind::kGeneric) {
-            // SIMD grad accumulation. Each kernel call is per-element
-            // identical to the generic loop: Add/Sub propagate g (Sub's b
-            // side as the exact negation (-1)*g), Mul cross-multiplies by
-            // the co-factor with mul-then-add rounding, same as `da = g*y;
-            // ga[i] += da`.
             ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
               const int64_t len = i1 - i0;
-              switch (kind) {
-                case BinOpKind::kAdd:
-                  if (ga != nullptr) {
-                    (fresh_a ? simd::AccumulateFresh
-                             : simd::Accumulate)(g + i0, ga + i0, len);
-                  }
-                  if (gb != nullptr) {
-                    (fresh_b ? simd::AccumulateFresh
-                             : simd::Accumulate)(g + i0, gb + i0, len);
-                  }
-                  break;
-                case BinOpKind::kSub:
-                  if (ga != nullptr) {
-                    (fresh_a ? simd::AccumulateFresh
-                             : simd::Accumulate)(g + i0, ga + i0, len);
-                  }
-                  if (gb != nullptr) {
-                    (fresh_b ? simd::AxpyFresh : simd::Axpy)(-1.0f, g + i0,
-                                                             gb + i0, len);
-                  }
-                  break;
-                case BinOpKind::kMul:
-                  if (ga != nullptr) {
-                    (fresh_a ? simd::MulAccumulateFresh
-                             : simd::MulAccumulate)(g + i0, bd + i0, ga + i0,
-                                                    len);
-                  }
-                  if (gb != nullptr) {
-                    (fresh_b ? simd::MulAccumulateFresh
-                             : simd::MulAccumulate)(g + i0, ad + i0, gb + i0,
-                                                    len);
-                  }
-                  break;
-                case BinOpKind::kGeneric:
-                  break;
+              if (ga != nullptr) {
+                BinaryGradAKernel(kind, g + i0, bd + i0, ga + i0, len,
+                                  fresh_a);
+              }
+              if (gb != nullptr) {
+                BinaryGradBKernel(kind, g + i0, ad + i0, gb + i0, len,
+                                  fresh_b);
               }
             });
             return;
@@ -234,39 +241,51 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, ForwardFn fwd,
                                          fresh_a, fresh_b);
           return;
         }
+        if (mode == BroadcastMode::kRowB) {
+          if (ga != nullptr) {
+            ParallelFor(0, rows, RowGrain(cols), [&](int64_t r0, int64_t r1) {
+              for (int64_t r = r0; r < r1; ++r) {
+                BinaryGradAKernel(kind, g + r * cols, bd, ga + r * cols, cols,
+                                  fresh_a);
+              }
+            });
+          }
+          if (gb != nullptr) {
+            // gb[j] sums column j over rows. Each shard owns a block of
+            // columns and adds whole rows into it in ascending row order,
+            // so every column keeps the serial (row-order) accumulation of
+            // 0 + db_0 + db_1 + ... while the kernel vectorises across
+            // columns.
+            ParallelFor(0, cols, RowGrain(rows), [&](int64_t j0, int64_t j1) {
+              const int64_t len = j1 - j0;
+              if (fresh_b) std::fill(gb + j0, gb + j1, 0.0f);
+              for (int64_t r = 0; r < rows; ++r) {
+                BinaryGradBKernel(kind, g + r * cols + j0, ad + r * cols + j0,
+                                  gb + j0, len, /*fresh=*/false);
+              }
+            });
+          }
+          return;
+        }
+        // kScalarB
         if (ga != nullptr) {
           ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
             if (fresh_a) {
               for (int64_t i = i0; i < i1; ++i) {
                 float da = 0.0f, db = 0.0f;
-                bwd(g[i], ad[i], bd[BroadcastIndex(mode, i, cols)], &da, &db);
+                bwd(g[i], ad[i], bd[0], &da, &db);
                 ga[i] = 0.0f + da;
               }
             } else {
               for (int64_t i = i0; i < i1; ++i) {
                 float da = 0.0f, db = 0.0f;
-                bwd(g[i], ad[i], bd[BroadcastIndex(mode, i, cols)], &da, &db);
+                bwd(g[i], ad[i], bd[0], &da, &db);
                 ga[i] += da;
               }
             }
           });
         }
-        if (gb != nullptr && mode == BroadcastMode::kRowB) {
-          // gb[j] accumulates over rows; shard by output column so every
-          // column keeps the serial (row-order) accumulation order.
-          int64_t rows = n / cols;
-          ParallelFor(0, cols, RowGrain(rows), [&](int64_t j0, int64_t j1) {
-            for (int64_t j = j0; j < j1; ++j) {
-              float sum = fresh_b ? 0.0f : gb[j];
-              for (int64_t i = j; i < n; i += cols) {
-                float da = 0.0f, db = 0.0f;
-                bwd(g[i], ad[i], bd[j], &da, &db);
-                sum += db;
-              }
-              gb[j] = sum;
-            }
-          });
-        } else if (gb != nullptr) {  // kScalarB
+        if (gb != nullptr) {
           float sum = ParallelReduce<float>(
               0, n, kGrain, 0.0f,
               [&](int64_t i0, int64_t i1) {

@@ -1,6 +1,6 @@
 // Tests for the serving subsystem: EngineSnapshot parity with the offline
 // scorer, copy-on-write Advance equivalence, eval-mode determinism under
-// noise injection, partial top-k selection, the micro-batching
+// noise injection, partial top-k selection, the continuously batching
 // InferenceEngine front-end, and the checkpoint deploy path.
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -280,7 +281,6 @@ TEST(ServeEngineTest, SingleQueryBatchesMatchScoreQueries) {
   LogClModel model(&data, ServeConfig());
   EngineOptions options;
   options.max_batch_size = 1;
-  options.batch_deadline_us = 0;
   InferenceEngine engine(&model, 25, options);
   for (const Quadruple& q : ServeQueriesAt(25)) {
     std::vector<float> row = engine.Score({q.subject, q.relation});
@@ -297,7 +297,6 @@ TEST(ServeEngineTest, TopKMatchesScoreRow) {
   LogClModel model(&data, ServeConfig());
   EngineOptions options;
   options.max_batch_size = 1;
-  options.batch_deadline_us = 0;
   InferenceEngine engine(&model, 25, options);
   ServeQuery query{5, 3};
   std::vector<float> row = engine.Score(query);
@@ -308,6 +307,72 @@ TEST(ServeEngineTest, TopKMatchesScoreRow) {
     EXPECT_EQ(top[i].first, oracle[i].first);
     EXPECT_EQ(top[i].second, oracle[i].second);
   }
+}
+
+// A sequential caller never has company in the queue, so with the default
+// options every request is scored alone, straight away, and its answer is
+// the offline scorer's bitwise.
+TEST(ServeEngineTest, DefaultOptionsSequentialCallerMatchesScoreQueries) {
+  TkgDataset data = ServeData();
+  LogClModel model(&data, ServeConfig());
+  InferenceEngine engine(&model, 25);
+  for (const Quadruple& q : ServeQueriesAt(25)) {
+    std::vector<float> row = engine.Score({q.subject, q.relation});
+    EXPECT_EQ(row, model.ScoreQueries({q})[0]);
+  }
+  EngineStats stats = engine.Snapshot();
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.max_batch, 1u);
+}
+
+// Continuous batching: requests queued while the dispatcher is held are
+// served on Resume in FIFO chunks of max_batch_size, each chunk scored as
+// one batch — so every answer equals ScoreBatch over its FIFO chunk.
+TEST(ServeEngineTest, ResumeServesQueueInMaxBatchChunks) {
+  TkgDataset data = ServeData();
+  LogClModel model(&data, ServeConfig());
+  EngineOptions options;
+  options.max_batch_size = 32;
+  InferenceEngine engine(&model, 25, options);
+
+  constexpr int kRequests = 40;
+  std::vector<ServeQuery> queries;
+  for (int i = 0; i < kRequests; ++i) {
+    queries.push_back({(3 * i) % data.num_entities(),
+                       i % data.num_relations_with_inverse()});
+  }
+  engine.Pause();
+  std::vector<std::future<InferenceEngine::EngineResponse>> futures;
+  for (const ServeQuery& query : queries) {
+    Result<std::future<InferenceEngine::EngineResponse>> submitted =
+        engine.Submit(query, /*k=*/0);
+    ASSERT_TRUE(submitted.ok());
+    futures.push_back(std::move(submitted).value());
+  }
+  EXPECT_EQ(engine.Snapshot().batches, 0u);
+  engine.Resume();
+
+  std::vector<std::vector<float>> rows;
+  for (std::future<InferenceEngine::EngineResponse>& f : futures) {
+    InferenceEngine::EngineResponse response = f.get();
+    ASSERT_TRUE(response.status.ok());
+    rows.push_back(std::move(response.row));
+  }
+  EngineStats stats = engine.Snapshot();
+  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_batch, 32u);
+
+  auto snapshot = engine.snapshot();
+  std::vector<ServeQuery> first(queries.begin(), queries.begin() + 32);
+  std::vector<ServeQuery> second(queries.begin() + 32, queries.end());
+  ExpectScoresBitwiseEqual(
+      snapshot->ScoreBatch(first),
+      std::vector<std::vector<float>>(rows.begin(), rows.begin() + 32));
+  ExpectScoresBitwiseEqual(
+      snapshot->ScoreBatch(second),
+      std::vector<std::vector<float>>(rows.begin() + 32, rows.end()));
 }
 
 TEST(ServeEngineTest, AdvancePublishesNewHorizon) {
@@ -338,7 +403,6 @@ TEST(ServeEngineTest, ConcurrentSubmitAndAdvance) {
   LogClModel model(&data, ServeConfig());
   EngineOptions options;
   options.max_batch_size = 8;
-  options.batch_deadline_us = 200;
   InferenceEngine engine(&model, horizon, options);
 
   constexpr int kThreads = 4;

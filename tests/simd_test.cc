@@ -17,8 +17,10 @@
 #include "common/parallel.h"
 #include "core/logcl_model.h"
 #include "synth/generator.h"
+#include "tensor/ops.h"
 #include "tensor/optimizer.h"
 #include "tensor/simd.h"
+#include "tensor/tensor.h"
 #include "tkg/dataset.h"
 
 namespace logcl {
@@ -132,6 +134,64 @@ TEST(SimdParityTest, AccumulatingKernels) {
       std::copy(init.begin(), init.end(), out);
       simd::Axpy(-0.37f, a.data(), out, n);
     });
+  }
+}
+
+// Row-broadcast Add/Sub/Mul ([rows, cols] op [1, cols]) run one SIMD kernel
+// call per row, and sum b's gradient over rows in ascending row order. Both
+// are pinned bitwise to the same-shape op on a materialised tiled b: the
+// forward and a's gradient element for element, b's gradient against a
+// serial row-order column sum of the tiled b's gradient. Pass 0 writes
+// fresh grads; pass 1 accumulates onto them.
+TEST(SimdParityTest, RowBroadcastOpsMatchTiledSameShape) {
+  // Enough rows that, at 4 threads, both the row split (forward, a's grad)
+  // and the column split (b's grad) cut the 7-, 8- and 33-column shapes.
+  constexpr int64_t kRows = 2100;
+  const char* const kOpNames[] = {"add", "sub", "mul"};
+  auto apply = [](int op, const Tensor& x, const Tensor& y) {
+    return op == 0   ? ops::Add(x, y)
+           : op == 1 ? ops::Sub(x, y)
+                     : ops::Mul(x, y);
+  };
+  for (int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    for (int64_t cols : {1, 7, 8, 33}) {
+      const int64_t n = kRows * cols;
+      const std::vector<float> a_data = Fill(n, 100 + cols);
+      const std::vector<float> b_data = Fill(cols, 200 + cols);
+      std::vector<float> tiled;
+      for (int64_t r = 0; r < kRows; ++r) {
+        tiled.insert(tiled.end(), b_data.begin(), b_data.end());
+      }
+      for (int op = 0; op < 3; ++op) {
+        SCOPED_TRACE(::testing::Message() << kOpNames[op] << " cols=" << cols
+                                          << " threads=" << threads);
+        Tensor a = Tensor::FromVector(Shape({kRows, cols}), a_data, true);
+        Tensor b = Tensor::FromVector(Shape({1, cols}), b_data, true);
+        Tensor a_ref = Tensor::FromVector(Shape({kRows, cols}), a_data, true);
+        std::vector<float> gb_ref(static_cast<size_t>(cols), 0.0f);
+        for (int pass = 0; pass < 2; ++pass) {
+          Tensor seed =
+              Tensor::FromVector(Shape({kRows, cols}), Fill(n, 300 + pass));
+          Tensor b_tiled = Tensor::FromVector(Shape({kRows, cols}), tiled,
+                                              /*requires_grad=*/true);
+          Tensor out = apply(op, a, b);
+          Tensor out_ref = apply(op, a_ref, b_tiled);
+          ExpectBitwiseEqual(out.data(), out_ref.data(), "forward");
+          Backward(out, seed);
+          Backward(out_ref, seed);
+          ExpectBitwiseEqual(a.grad(), a_ref.grad(), "grad a");
+          const std::vector<float>& gb_tiled = b_tiled.grad();
+          for (int64_t r = 0; r < kRows; ++r) {
+            for (int64_t j = 0; j < cols; ++j) {
+              gb_ref[static_cast<size_t>(j)] +=
+                  gb_tiled[static_cast<size_t>(r * cols + j)];
+            }
+          }
+          ExpectBitwiseEqual(b.grad(), gb_ref, "grad b");
+        }
+      }
+    }
   }
 }
 

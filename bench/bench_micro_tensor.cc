@@ -294,6 +294,49 @@ void BM_ElementwiseSameBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ElementwiseSameBackward)->Args({256, 0})->Args({256, 1});
 
+// Training-mode RRelu and Dropout over one [3000, 32] encoder layer output
+// (the serve-zipf entity count): counter-based draws from one reserved
+// Rng block (tensor/simd.h). Phase 0 = RRelu forward, 1 = Dropout forward,
+// 2 = backward of SumAll(Dropout(RRelu(x))).
+void BM_RandomActivations(benchmark::State& state) {
+  const int64_t phase = state.range(0);
+  SimdModeGuard simd_guard(state.range(1) != 0);
+  Rng rng(12);
+  Tensor x = Tensor::RandomNormal(Shape{3000, 32}, 1.0f, &rng, true);
+  const char* names[] = {"rrelu", "dropout", "rrelu_dropout_backward"};
+  uint64_t start_ns = 0;
+  uint64_t elapsed_ns = 0;
+  for (auto _ : state) {
+    if (phase == 2) {
+      state.PauseTiming();
+      x.ZeroGrad();
+      Tensor loss = ops::SumAll(ops::Dropout(
+          ops::RRelu(x, /*training=*/true, &rng), 0.2f, true, &rng));
+      state.ResumeTiming();
+      start_ns = MonotonicNowNs();
+      Backward(loss);
+    } else {
+      start_ns = MonotonicNowNs();
+      benchmark::DoNotOptimize(
+          phase == 0 ? ops::RRelu(x, /*training=*/true, &rng)
+                     : ops::Dropout(x, 0.2f, /*training=*/true, &rng));
+    }
+    elapsed_ns += MonotonicNowNs() - start_ns;
+  }
+  ReportSimdTime(names[phase], state.range(1) != 0,
+                 NsPerIter(state, elapsed_ns));
+  state.SetItemsProcessed(state.iterations() * 3000 * 32);
+  state.SetLabel(std::string(names[phase]) + "/" +
+                 simd::IsaName(simd::ActiveIsa()));
+}
+BENCHMARK(BM_RandomActivations)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({2, 0})
+    ->Args({2, 1});
+
 void BM_IndexSelectScatter(benchmark::State& state) {
   int64_t edges = state.range(0);
   Rng rng(4);

@@ -9,11 +9,14 @@ namespace logcl {
 Rng::Rng(uint64_t seed) : state_(seed) {}
 
 uint64_t Rng::Next() {
-  state_ += 0x9E3779B97F4A7C15ULL;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  state_ += kGamma;
+  return Mix(state_);
+}
+
+uint64_t Rng::Reserve(uint64_t n) {
+  uint64_t base = state_;
+  state_ += n * kGamma;
+  return base;
 }
 
 double Rng::Uniform() {

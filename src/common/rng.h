@@ -17,12 +17,37 @@ namespace logcl {
 /// SplitMix64-based PRNG. Small, fast, seedable, and with a Split() operation
 /// that derives independent child streams (used to give each module its own
 /// stream so adding randomness in one place never perturbs another).
+///
+/// SplitMix64 is counter-based: the k-th call to Next() (k = 1, 2, ...) on a
+/// generator whose state is `s` returns Mix(s + k * kGamma). Reserve() hands
+/// out the state before a block of draws, so a block can be computed in any
+/// order (or in parallel shards) and still match the serial stream bit for
+/// bit.
 class Rng {
  public:
-  explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
+  /// Weyl-sequence increment added to the state before every draw.
+  static constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+
+  /// Multipliers of Mix (vectorised copies of Mix use them too).
+  static constexpr uint64_t kMixMul1 = 0xBF58476D1CE4E5B9ULL;
+  static constexpr uint64_t kMixMul2 = 0x94D049BB133111EBULL;
+
+  /// SplitMix64 output finaliser: Next() returns Mix(state after increment).
+  static constexpr uint64_t Mix(uint64_t z) {
+    z = (z ^ (z >> 30)) * kMixMul1;
+    z = (z ^ (z >> 27)) * kMixMul2;
+    return z ^ (z >> 31);
+  }
+
+  explicit Rng(uint64_t seed = kGamma);
 
   /// Next raw 64-bit value.
   uint64_t Next();
+
+  /// Reserves the next `n` draws and returns the state before them: draw k
+  /// of the block (k = 1..n) is Mix(base + k * kGamma). Leaves the stream
+  /// exactly where `n` calls to Next() would.
+  uint64_t Reserve(uint64_t n);
 
   /// Uniform in [0, 1).
   double Uniform();

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/stringpiece.h"
@@ -20,6 +21,11 @@ constexpr char kMagic[8] = {'L', 'G', 'C', 'L', 'C', 'K', 'P', 'T'};
 constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersionV2 = 2;
 constexpr uint64_t kDataAlign = 64;
+// Largest rank a header may declare. Parameters are at most rank 3; the bound
+// keeps a corrupt rank field from sizing an allocation.
+constexpr uint32_t kMaxRank = 8;
+// Smallest v2 per-tensor entry: rank, reserved and data_offset.
+constexpr uint64_t kMinV2EntryBytes = 2 * sizeof(uint32_t) + sizeof(uint64_t);
 
 template <typename T>
 void WritePod(std::ofstream& out, const T& value) {
@@ -34,6 +40,45 @@ bool ReadPod(std::ifstream& in, T* value) {
 
 uint64_t AlignUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
+}
+
+// Bytes between the read position and the end of the file.
+uint64_t RemainingBytes(std::ifstream& in) {
+  std::streampos pos = in.tellg();
+  in.seekg(0, std::ios::end);
+  std::streampos end = in.tellg();
+  in.seekg(pos);
+  return end > pos ? static_cast<uint64_t>(end - pos) : 0;
+}
+
+// Reads the `rank` dims of tensor `index`. A rank above kMaxRank, a dim that
+// is negative as int64, or a payload whose byte size overflows int64 is an
+// InvalidArgument, so no corrupt header reaches an allocation or Shape.
+Status ReadDims(std::ifstream& in, uint32_t rank, uint64_t index,
+                std::vector<int64_t>* dims) {
+  const auto tensor = static_cast<unsigned long long>(index);
+  if (rank > kMaxRank) {
+    return Status::InvalidArgument(StrFormat(
+        "tensor %llu: rank %u exceeds %u", tensor, rank, kMaxRank));
+  }
+  dims->assign(rank, 0);
+  uint64_t bytes = sizeof(float);
+  for (uint32_t d = 0; d < rank; ++d) {
+    uint64_t dim = 0;
+    if (!ReadPod(in, &dim)) return Status::IoError("truncated dims");
+    if (dim > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+      return Status::InvalidArgument(StrFormat(
+          "tensor %llu: negative dim %lld", tensor,
+          static_cast<long long>(static_cast<int64_t>(dim))));
+    }
+    if (__builtin_mul_overflow(bytes, dim, &bytes) ||
+        bytes > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+      return Status::InvalidArgument(
+          StrFormat("tensor %llu: payload size overflows", tensor));
+    }
+    (*dims)[d] = static_cast<int64_t>(dim);
+  }
+  return Status::Ok();
 }
 
 Status CheckShapes(const std::vector<Shape>& file_shapes,
@@ -121,12 +166,8 @@ Status LoadV1Body(std::ifstream& in, std::vector<Tensor>* parameters) {
     Tensor& p = (*parameters)[i];
     uint32_t rank = 0;
     if (!ReadPod(in, &rank)) return Status::IoError("truncated tensor header");
-    std::vector<int64_t> dims(rank);
-    for (uint32_t d = 0; d < rank; ++d) {
-      uint64_t dim = 0;
-      if (!ReadPod(in, &dim)) return Status::IoError("truncated dims");
-      dims[d] = static_cast<int64_t>(dim);
-    }
+    std::vector<int64_t> dims;
+    LOGCL_RETURN_IF_ERROR(ReadDims(in, rank, i, &dims));
     if (Shape(dims) != p.shape()) {
       return Status::FailedPrecondition(StrFormat(
           "tensor %zu shape mismatch: checkpoint %s vs model %s", i,
@@ -146,6 +187,11 @@ Status ReadV2Header(std::ifstream& in, std::vector<Shape>* shapes,
   if (!ReadPod(in, &header_bytes)) return Status::IoError("truncated header");
   uint64_t count = 0;
   if (!ReadPod(in, &count)) return Status::IoError("truncated header");
+  if (count > RemainingBytes(in) / kMinV2EntryBytes) {
+    return Status::InvalidArgument(
+        StrFormat("tensor count %llu exceeds the file size",
+                  static_cast<unsigned long long>(count)));
+  }
   shapes->reserve(count);
   offsets->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -154,12 +200,8 @@ Status ReadV2Header(std::ifstream& in, std::vector<Shape>* shapes,
     if (!ReadPod(in, &rank) || !ReadPod(in, &reserved)) {
       return Status::IoError("truncated tensor header");
     }
-    std::vector<int64_t> dims(rank);
-    for (uint32_t d = 0; d < rank; ++d) {
-      uint64_t dim = 0;
-      if (!ReadPod(in, &dim)) return Status::IoError("truncated dims");
-      dims[d] = static_cast<int64_t>(dim);
-    }
+    std::vector<int64_t> dims;
+    LOGCL_RETURN_IF_ERROR(ReadDims(in, rank, i, &dims));
     uint64_t offset = 0;
     if (!ReadPod(in, &offset)) return Status::IoError("truncated offsets");
     if (offset % kDataAlign != 0 || offset < header_bytes) {
@@ -353,9 +395,10 @@ Result<MmapCheckpoint> Open(const std::string& path) {
   }
   size_t length = static_cast<size_t>(st.st_size);
   for (size_t i = 0; i < shapes.size(); ++i) {
-    uint64_t elems = 1;
-    for (int64_t d : shapes[i].dims()) elems *= static_cast<uint64_t>(d);
-    if (offsets[i] + elems * sizeof(float) > length) {
+    // ReadDims bounded the payload size, so this product cannot wrap.
+    uint64_t bytes =
+        static_cast<uint64_t>(shapes[i].num_elements()) * sizeof(float);
+    if (bytes > length || offsets[i] > length - bytes) {
       ::close(fd);
       return Status::IoError("truncated tensor data: " + path);
     }

@@ -1622,35 +1622,53 @@ Tensor LeakyRelu(const Tensor& x, float slope) {
   return ElementwiseUnary(x, ewise::UnaryKind::kLeakyRelu, slope);
 }
 
+namespace {
+
+// RRelu and Dropout share one shape: reserve a block of n draws, let each
+// ParallelFor shard fill its multipliers from draw i0 (Rng::Reserve makes
+// the block order-free, so the result is the serial stream's at any thread
+// count), then out = x * multipliers. The backward reuses the buffer:
+// gx += g * multipliers, bitwise the per-element g * (x > 0 ? 1 : slope).
+template <typename FillMultipliers>
+Tensor MultiplierOp(const Tensor& x, FillMultipliers fill) {
+  int64_t n = x.num_elements();
+  const float* xd = x.data().data();
+  std::vector<float> multipliers(static_cast<size_t>(n));
+  std::vector<float> out = UninitOut(n);
+  float* md = multipliers.data();
+  float* od = out.data();
+  ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
+    fill(i0, i1 - i0, xd + i0, md + i0);
+    simd::Mul(xd + i0, md + i0, od + i0, i1 - i0);
+  });
+  return Tensor::MakeOpOutput(
+      x.shape(), std::move(out), {x},
+      [n, m = std::move(multipliers)](Node& node) {
+        const auto& px = node.parents[0];
+        if (!px->requires_grad) return;
+        bool fresh = false;
+        float* gx = px->GradForFullWrite(&fresh);
+        const float* g = node.grad.data();
+        const float* md = m.data();
+        ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
+          (fresh ? simd::MulAccumulateFresh : simd::MulAccumulate)(
+              g + i0, md + i0, gx + i0, i1 - i0);
+        });
+      });
+}
+
+}  // namespace
+
 Tensor RRelu(const Tensor& x, bool training, Rng* rng) {
   if (!training) return LeakyRelu(x, kRReluEvalSlope);
   LOGCL_CHECK(rng != nullptr);
-  int64_t n = x.num_elements();
-  const float* xd = x.data().data();
-  std::vector<float> slopes(static_cast<size_t>(n));
-  std::vector<float> out = UninitOut(n);
-  // Serial on purpose: the slopes must consume the RNG stream in index
-  // order so training runs are reproducible at any thread count.
-  for (int64_t i = 0; i < n; ++i) {
-    float s = static_cast<float>(rng->Uniform(kRReluLower, kRReluUpper));
-    slopes[static_cast<size_t>(i)] = s;
-    out[static_cast<size_t>(i)] = xd[i] > 0.0f ? xd[i] : s * xd[i];
-  }
-  return Tensor::MakeOpOutput(
-      x.shape(), std::move(out), {x}, [n, slopes](Node& node) {
-        const auto& px = node.parents[0];
-        if (!px->requires_grad) return;
-        px->EnsureGrad();
-        const float* g = node.grad.data();
-        const float* xd = px->data.data();
-        float* gx = px->grad.data();
-        ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) {
-            gx[i] +=
-                g[i] * (xd[i] > 0.0f ? 1.0f : slopes[static_cast<size_t>(i)]);
-          }
-        });
-      });
+  const uint64_t base =
+      rng->Reserve(static_cast<uint64_t>(x.num_elements()));
+  return MultiplierOp(x, [base](int64_t first, int64_t count, const float* xs,
+                                float* out) {
+    simd::RReluMultipliers(base, first, count, xs, kRReluLower, kRReluUpper,
+                           out);
+  });
 }
 
 Tensor Cos(const Tensor& x) {
@@ -1671,31 +1689,13 @@ Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
   LOGCL_CHECK_LT(p, 1.0f);
   if (!training || p == 0.0f) return x;
   LOGCL_CHECK(rng != nullptr);
-  int64_t n = x.num_elements();
   float scale = 1.0f / (1.0f - p);
-  const float* xd = x.data().data();
-  std::vector<float> mask(static_cast<size_t>(n));
-  std::vector<float> out = UninitOut(n);
-  // Serial on purpose: mask draws consume the RNG stream in index order
-  // (see RRelu).
-  for (int64_t i = 0; i < n; ++i) {
-    float m = rng->Bernoulli(p) ? 0.0f : scale;
-    mask[static_cast<size_t>(i)] = m;
-    out[static_cast<size_t>(i)] = xd[i] * m;
-  }
-  return Tensor::MakeOpOutput(
-      x.shape(), std::move(out), {x}, [n, mask](Node& node) {
-        const auto& px = node.parents[0];
-        if (!px->requires_grad) return;
-        px->EnsureGrad();
-        const float* g = node.grad.data();
-        float* gx = px->grad.data();
-        ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) {
-            gx[i] += g[i] * mask[static_cast<size_t>(i)];
-          }
-        });
-      });
+  const uint64_t base =
+      rng->Reserve(static_cast<uint64_t>(x.num_elements()));
+  return MultiplierOp(x, [base, p, scale](int64_t first, int64_t count,
+                                          const float* /*xs*/, float* out) {
+    simd::DropoutMask(base, first, count, p, scale, out);
+  });
 }
 
 Tensor RowL2Normalize(const Tensor& x, float eps) {

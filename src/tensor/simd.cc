@@ -21,6 +21,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/rng.h"
 #include "common/runtime_config.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -80,6 +81,9 @@ struct KernelTable {
                         int64_t, int64_t, float*);
   void (*score_rows_bf16)(const uint16_t*, const float*, int64_t, int64_t,
                           float*);
+  void (*rrelu_multipliers)(uint64_t, int64_t, int64_t, const float*, double,
+                            double, float*);
+  void (*dropout_mask)(uint64_t, int64_t, int64_t, double, float, float*);
 };
 
 // ---------------------------------------------------------------------------
@@ -291,12 +295,37 @@ void ScoreRowsBf16(const uint16_t* m, const float* q, int64_t rows,
   for (int64_t e = 0; e < rows; ++e) out[e] = DotBf16(m + e * dim, q, dim);
 }
 
+// Draw k of a block reserved at `base`, exactly as Rng::Uniform() returns it.
+inline double BlockUniform(uint64_t base, int64_t k) {
+  uint64_t z = Rng::Mix(base + (static_cast<uint64_t>(k) + 1) * Rng::kGamma);
+  return static_cast<double>(z >> 11) * 0x1.0p-53;
+}
+
+// Same expression order as Rng::Uniform(lo, hi): lo + (hi - lo) * u.
+void RReluMultipliers(uint64_t base, int64_t first, int64_t n, const float* x,
+                      double lo, double hi, float* out) {
+  const double range = hi - lo;
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = x[i] > 0.0f ? 1.0f
+                         : static_cast<float>(
+                               lo + range * BlockUniform(base, first + i));
+  }
+}
+
+void DropoutMask(uint64_t base, int64_t first, int64_t n, double p,
+                 float scale, float* out) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = BlockUniform(base, first + i) < p ? 0.0f : scale;
+  }
+}
+
 constexpr KernelTable kTable = {
     Add,          Sub,           Mul,          Accumulate, MulAccumulate,
     Axpy,         Scale,         AddScalar,    Relu,       ReluBackward,
     AccumulateFresh, MulAccumulateFresh, AxpyFresh, ReluBackwardFresh,
     RowMax,       MatMulRowsNN,  MatMulRowsNT, MatMulRowsTN,
     MatMulTile,   DotI8,         DotBf16,      ScoreRowsI8, ScoreRowsBf16,
+    RReluMultipliers, DropoutMask,
 };
 
 }  // namespace scalar
@@ -669,12 +698,113 @@ LOGCL_TARGET_AVX2 void ScoreRowsBf16(const uint16_t* m, const float* q,
   for (int64_t e = 0; e < rows; ++e) out[e] = DotBf16(m + e * dim, q, dim);
 }
 
+// Low 64 bits of a * b per lane from three 32x32->64 multiplies:
+// a * b = alo * blo + ((ahi * blo + alo * bhi) << 32)  (mod 2^64).
+// `b_hi` is b >> 32, hoisted by the caller since b is a constant.
+LOGCL_TARGET_AVX2 inline __m256i MulLo64(__m256i a, __m256i b,
+                                         __m256i b_hi) {
+  __m256i cross = _mm256_add_epi64(
+      _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b), _mm256_mul_epu32(a, b_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+// Rng::Mix on four counters, then Rng::Uniform's 53-bit double. The 53-bit
+// integer v converts exactly via two magic-number doubles: bits 32..52 as
+// 2^84 + hi * 2^32 and bits 0..31 as 2^52 + lo; subtracting 2^84 + 2^52
+// from the first and adding the second gives v with no rounding (every
+// intermediate is an exact multiple of its ulp below 2^53).
+LOGCL_TARGET_AVX2 inline __m256d BlockUniform4(__m256i z) {
+  const __m256i m1 = _mm256_set1_epi64x(static_cast<int64_t>(Rng::kMixMul1));
+  const __m256i m1_hi =
+      _mm256_set1_epi64x(static_cast<int64_t>(Rng::kMixMul1 >> 32));
+  const __m256i m2 = _mm256_set1_epi64x(static_cast<int64_t>(Rng::kMixMul2));
+  const __m256i m2_hi =
+      _mm256_set1_epi64x(static_cast<int64_t>(Rng::kMixMul2 >> 32));
+  z = MulLo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), m1, m1_hi);
+  z = MulLo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), m2, m2_hi);
+  z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+  __m256i v = _mm256_srli_epi64(z, 11);
+  __m256i hi = _mm256_or_si256(_mm256_srli_epi64(v, 32),
+                               _mm256_set1_epi64x(0x4530000000000000LL));
+  __m256i lo =
+      _mm256_blend_epi32(_mm256_set1_epi64x(0x4330000000000000LL), v, 0x55);
+  const __m256d magic = _mm256_set1_pd(0x1.0p84 + 0x1.0p52);
+  __m256d d = _mm256_add_pd(_mm256_sub_pd(_mm256_castsi256_pd(hi), magic),
+                            _mm256_castsi256_pd(lo));
+  return _mm256_mul_pd(d, _mm256_set1_pd(0x1.0p-53));
+}
+
+// Counters for draws first+1 .. first+4 of a block (lane j holds
+// base + (first + 1 + j) * gamma); advance by 4 or 8 draws with add_epi64.
+LOGCL_TARGET_AVX2 inline __m256i BlockCounters(uint64_t base, int64_t first) {
+  const uint64_t s = base + (static_cast<uint64_t>(first) + 1) * Rng::kGamma;
+  return _mm256_set_epi64x(static_cast<int64_t>(s + 3 * Rng::kGamma),
+                           static_cast<int64_t>(s + 2 * Rng::kGamma),
+                           static_cast<int64_t>(s + Rng::kGamma),
+                           static_cast<int64_t>(s));
+}
+
+LOGCL_TARGET_AVX2 void RReluMultipliers(uint64_t base, int64_t first,
+                                        int64_t n, const float* x, double lo,
+                                        double hi, float* out) {
+  const __m256i step4 = _mm256_set1_epi64x(
+      static_cast<int64_t>(4 * Rng::kGamma));
+  const __m256i step8 = _mm256_set1_epi64x(
+      static_cast<int64_t>(8 * Rng::kGamma));
+  const __m256d vlo = _mm256_set1_pd(lo);
+  const __m256d vrange = _mm256_set1_pd(hi - lo);
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  __m256i ctr = BlockCounters(base, first);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256d u0 = BlockUniform4(ctr);
+    __m256d u1 = BlockUniform4(_mm256_add_epi64(ctr, step4));
+    ctr = _mm256_add_epi64(ctr, step8);
+    __m128 s0 = _mm256_cvtpd_ps(_mm256_add_pd(vlo, _mm256_mul_pd(vrange, u0)));
+    __m128 s1 = _mm256_cvtpd_ps(_mm256_add_pd(vlo, _mm256_mul_pd(vrange, u1)));
+    __m256 positive =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_GT_OQ);
+    _mm256_storeu_ps(
+        out + i, _mm256_blendv_ps(_mm256_set_m128(s1, s0), one, positive));
+  }
+  scalar::RReluMultipliers(base, first + i, n - i, x + i, lo, hi, out + i);
+}
+
+LOGCL_TARGET_AVX2 void DropoutMask(uint64_t base, int64_t first, int64_t n,
+                                   double p, float scale, float* out) {
+  const __m256i step4 = _mm256_set1_epi64x(
+      static_cast<int64_t>(4 * Rng::kGamma));
+  const __m256i step8 = _mm256_set1_epi64x(
+      static_cast<int64_t>(8 * Rng::kGamma));
+  const __m256d vp = _mm256_set1_pd(p);
+  const __m256d vscale = _mm256_set1_pd(scale);
+  const __m256d zero = _mm256_setzero_pd();
+  __m256i ctr = BlockCounters(base, first);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256d u0 = BlockUniform4(ctr);
+    __m256d u1 = BlockUniform4(_mm256_add_epi64(ctr, step4));
+    ctr = _mm256_add_epi64(ctr, step8);
+    // Compare in double (as Rng::Bernoulli does); scale and 0 convert to
+    // float exactly.
+    __m128 m0 = _mm256_cvtpd_ps(
+        _mm256_blendv_pd(vscale, zero, _mm256_cmp_pd(u0, vp, _CMP_LT_OQ)));
+    __m128 m1 = _mm256_cvtpd_ps(
+        _mm256_blendv_pd(vscale, zero, _mm256_cmp_pd(u1, vp, _CMP_LT_OQ)));
+    _mm256_storeu_ps(out + i, _mm256_set_m128(m1, m0));
+  }
+  scalar::DropoutMask(base, first + i, n - i, p, scale, out + i);
+}
+
 constexpr KernelTable kTable = {
     Add,          Sub,          Mul,     Accumulate, MulAccumulate,
     Axpy,         Scale,        AddScalar, Relu,     ReluBackward,
     AccumulateFresh, MulAccumulateFresh, AxpyFresh, ReluBackwardFresh,
     RowMax,       MatMulRowsNN, nullptr, MatMulRowsTN,
     MatMulTile,   DotI8,        DotBf16, ScoreRowsI8, ScoreRowsBf16,
+    RReluMultipliers, DropoutMask,
 };
 
 }  // namespace avx2
@@ -977,12 +1107,14 @@ void ScoreRowsBf16(const uint16_t* m, const float* q, int64_t rows,
   for (int64_t e = 0; e < rows; ++e) out[e] = DotBf16(m + e * dim, q, dim);
 }
 
+// The counter-based draw kernels use the scalar variants.
 constexpr KernelTable kTable = {
     Add,          Sub,          Mul,     Accumulate, MulAccumulate,
     Axpy,         Scale,        AddScalar, Relu,     ReluBackward,
     AccumulateFresh, MulAccumulateFresh, AxpyFresh, ReluBackwardFresh,
     RowMax,       MatMulRowsNN, nullptr, MatMulRowsTN,
     MatMulTile,   DotI8,        DotBf16, ScoreRowsI8, ScoreRowsBf16,
+    scalar::RReluMultipliers, scalar::DropoutMask,
 };
 
 }  // namespace neon
@@ -1209,6 +1341,16 @@ void ScoreRowsI8(const int8_t* m, const float* scales, const int8_t* q,
 void ScoreRowsBf16(const uint16_t* m, const float* q, int64_t rows,
                    int64_t dim, float* out) {
   Active()->score_rows_bf16(m, q, rows, dim, out);
+}
+
+void RReluMultipliers(uint64_t base, int64_t first, int64_t n, const float* x,
+                      double lo, double hi, float* out) {
+  Active()->rrelu_multipliers(base, first, n, x, lo, hi, out);
+}
+
+void DropoutMask(uint64_t base, int64_t first, int64_t n, double p,
+                 float scale, float* out) {
+  Active()->dropout_mask(base, first, n, p, scale, out);
 }
 
 }  // namespace simd

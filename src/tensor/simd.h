@@ -98,6 +98,25 @@ void ReluBackwardFresh(const float* x, const float* g, float* gx, int64_t n);
 /// finite inputs the softmax path feeds it.
 float RowMax(const float* x, int64_t n);
 
+// --- counter-based random draws (bitwise-equal across variants) ------------
+//
+// Both kernels read draws [first, first + n) of a block reserved with
+// Rng::Reserve, which returned `base`. Draw k (zero-based) is the double
+//   u_k = (Rng::Mix(base + (k + 1) * Rng::kGamma) >> 11) * 2^-53,
+// exactly what Rng::Uniform() returns for the (k + 1)-th call after the
+// reservation. Every variant converts the 53-bit integer to double exactly
+// and rounds mul and add separately, so any shard split of a block gives
+// the serial stream's values.
+
+/// out[i] = x[i] > 0 ? 1 : float(lo + (hi - lo) * u_{first+i}): the RReLU
+/// slope multiplier, as Rng::Uniform(lo, hi) draws it.
+void RReluMultipliers(uint64_t base, int64_t first, int64_t n, const float* x,
+                      double lo, double hi, float* out);
+/// out[i] = u_{first+i} < p ? 0 : scale: the dropout mask, as
+/// Rng::Bernoulli(p) draws it.
+void DropoutMask(uint64_t base, int64_t first, int64_t n, double p,
+                 float scale, float* out);
+
 // --- fp32 matmul kernels (accumulate into C) -------------------------------
 //
 // Tile geometry shared by every variant (and by ops.cc's fused

@@ -54,6 +54,12 @@ Result<std::vector<Quadruple>> ReadSplitFile(const std::string& path) {
     for (int i = 0; i < 4; ++i) {
       Result<int64_t> value = ParseInt64(fields[static_cast<size_t>(i)]);
       if (!value.ok()) return value.status();
+      if (value.value() < 0) {
+        return Status::InvalidArgument(
+            StrFormat("%s:%lld: negative id or time %lld", path.c_str(),
+                      static_cast<long long>(line_number),
+                      static_cast<long long>(value.value())));
+      }
       *slots[i] = value.value();
     }
     facts.push_back(q);

@@ -171,6 +171,25 @@ TEST(RngTest, SplitStreamsAreIndependentOfParentUse) {
   (void)a_child;
 }
 
+TEST(RngTest, ReserveLeavesStreamWhereNextWould) {
+  for (uint64_t n : {0ull, 1ull, 7ull, 96000ull}) {
+    Rng reserved(11), serial(11);
+    reserved.Next();
+    serial.Next();
+    reserved.Reserve(n);
+    for (uint64_t i = 0; i < n; ++i) serial.Next();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(reserved.Next(), serial.Next()) << n;
+  }
+}
+
+TEST(RngTest, ReservedBlockDrawsMatchSerialDraws) {
+  Rng reserved(12), serial(12);
+  const uint64_t base = reserved.Reserve(100);
+  for (uint64_t k = 1; k <= 100; ++k) {
+    EXPECT_EQ(Rng::Mix(base + k * Rng::kGamma), serial.Next()) << k;
+  }
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(10);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7};

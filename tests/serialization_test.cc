@@ -1,12 +1,16 @@
 // Tests for checkpoint save/load and the static filter protocol.
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/logcl_model.h"
 #include "synth/generator.h"
+#include "tensor/checkpoint.h"
 #include "tensor/serialization.h"
 #include "tkg/filters.h"
 
@@ -85,6 +89,113 @@ TEST(SerializationTest, MissingFileIsIoError) {
   std::vector<Tensor> params = {Tensor::Zeros(Shape{1}, true)};
   EXPECT_EQ(LoadParameters("/nonexistent/ckpt.bin", &params).code(),
             StatusCode::kIoError);
+}
+
+// --- malformed headers: every decoder returns a Status, never crashes -----
+
+// A hand-built checkpoint: "LGCLCKPT", then little-endian fields.
+class CraftedCheckpoint {
+ public:
+  explicit CraftedCheckpoint(uint32_t version) {
+    bytes_.append("LGCLCKPT", 8);
+    Put(version);
+  }
+  template <typename T>
+  CraftedCheckpoint& Put(T value) {
+    bytes_.append(reinterpret_cast<const char*>(&value), sizeof(T));
+    return *this;
+  }
+  // Zero bytes, so count-vs-size bounds do not reject the file first.
+  CraftedCheckpoint& Pad(size_t n) {
+    bytes_.append(n, '\0');
+    return *this;
+  }
+  std::string Write(const char* name) const {
+    std::string path = TempPath(name);
+    std::ofstream(path, std::ios::binary) << bytes_;
+    return path;
+  }
+
+ private:
+  std::string bytes_;
+};
+
+// A v2 header for one tensor of the given rank and dims, with a payload
+// offset past the header and enough padding to cover it.
+CraftedCheckpoint V2OneTensor(uint32_t rank, std::vector<uint64_t> dims) {
+  CraftedCheckpoint file(2);
+  file.Put(uint32_t{64}).Put(uint64_t{1}).Put(rank).Put(uint32_t{0});
+  for (uint64_t d : dims) file.Put(d);
+  file.Put(uint64_t{64}).Pad(128);
+  return file;
+}
+
+CraftedCheckpoint V1OneTensor(uint32_t rank, std::vector<uint64_t> dims) {
+  CraftedCheckpoint file(1);
+  file.Put(uint64_t{1}).Put(rank);
+  for (uint64_t d : dims) file.Put(d);
+  file.Pad(128);
+  return file;
+}
+
+void ExpectLoadInvalid(const std::string& path) {
+  std::vector<Tensor> params = {Tensor::Zeros(Shape{4}, true)};
+  Status status = checkpoint::Load(path, &params);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+void ExpectOpenInvalid(const std::string& path) {
+  Result<checkpoint::MmapCheckpoint> opened = checkpoint::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+      << opened.status().ToString();
+}
+
+TEST(CheckpointHeaderTest, CountBeyondFileSizeIsInvalid) {
+  CraftedCheckpoint file(2);
+  file.Put(uint32_t{64}).Put(uint64_t{1} << 61).Pad(64);
+  std::string path = file.Write("logcl_ckpt_huge_count.bin");
+  ExpectLoadInvalid(path);
+  ExpectOpenInvalid(path);
+  fs::remove(path);
+}
+
+TEST(CheckpointHeaderTest, HugeRankIsInvalid) {
+  std::string v1 = V1OneTensor(0xFFFFFFF0u, {}).Write("logcl_ckpt_rank1.bin");
+  ExpectLoadInvalid(v1);
+  std::string v2 = V2OneTensor(0xFFFFFFF0u, {}).Write("logcl_ckpt_rank2.bin");
+  ExpectLoadInvalid(v2);
+  ExpectOpenInvalid(v2);
+  fs::remove(v1);
+  fs::remove(v2);
+}
+
+TEST(CheckpointHeaderTest, NegativeDimIsInvalid) {
+  const uint64_t dim = uint64_t{1} << 63;
+  std::string v1 = V1OneTensor(1, {dim}).Write("logcl_ckpt_negdim1.bin");
+  ExpectLoadInvalid(v1);
+  std::string v2 = V2OneTensor(1, {dim}).Write("logcl_ckpt_negdim2.bin");
+  ExpectLoadInvalid(v2);
+  ExpectOpenInvalid(v2);
+  fs::remove(v1);
+  fs::remove(v2);
+}
+
+TEST(CheckpointHeaderTest, OverflowingPayloadSizeIsInvalid) {
+  // 4 * (2^62 + 1) wraps to 4 bytes in u64 arithmetic; so does the
+  // product of two 2^32 dims.
+  for (std::vector<uint64_t> dims :
+       {std::vector<uint64_t>{(uint64_t{1} << 62) + 1},
+        std::vector<uint64_t>{uint64_t{1} << 32, uint64_t{1} << 32}}) {
+    const uint32_t rank = static_cast<uint32_t>(dims.size());
+    std::string v1 = V1OneTensor(rank, dims).Write("logcl_ckpt_wrap1.bin");
+    ExpectLoadInvalid(v1);
+    std::string v2 = V2OneTensor(rank, dims).Write("logcl_ckpt_wrap2.bin");
+    ExpectLoadInvalid(v2);
+    ExpectOpenInvalid(v2);
+    fs::remove(v1);
+    fs::remove(v2);
+  }
 }
 
 TEST(SerializationTest, TrainedModelSurvivesRestart) {

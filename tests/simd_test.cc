@@ -307,6 +307,142 @@ TEST(SimdParityTest, MatMulTile) {
   }
 }
 
+// --- counter-based draws: RReLU slopes and dropout masks -------------------
+
+constexpr double kSlopeLo = 1.0f / 8.0f;
+constexpr double kSlopeHi = 1.0f / 3.0f;
+constexpr float kDropP = 0.3f;
+const float kDropScale = 1.0f / (1.0f - kDropP);
+
+// Bases include one whose counters wrap past 2^64 inside the block.
+const uint64_t kBases[] = {0x0123456789ABCDEFull, 0xFFFFFFFFFFFFFFF0ull};
+
+// Shards enter a block part-way (first != 0) and end on ragged tails.
+TEST(SimdParityTest, CounterRngDrawKernels) {
+  for (uint64_t base : kBases) {
+    for (int64_t first : {0, 1, 5, 8, 1001}) {
+      for (int64_t n : kSizes) {
+        std::vector<float> x = Fill(n, 66);
+        ExpectVariantParity(n, "rrelu_multipliers", [&](float* out) {
+          simd::RReluMultipliers(base, first, n, x.data(), kSlopeLo, kSlopeHi,
+                                 out);
+        });
+        ExpectVariantParity(n, "dropout_mask", [&](float* out) {
+          simd::DropoutMask(base, first, n, kDropP, kDropScale, out);
+        });
+      }
+    }
+  }
+}
+
+// Both kernel tables reproduce the serial Rng::Uniform / Rng::Bernoulli
+// stream of a generator whose state is `base`.
+TEST(SimdParityTest, CounterRngDrawKernelsMatchSerialStream) {
+  SimdGuard guard;
+  constexpr int64_t kFirst = 5;
+  constexpr int64_t kN = 1027;
+  std::vector<float> x = Fill(kN, 67);
+  for (uint64_t base : kBases) {
+    std::vector<float> slopes(kN), mask(kN);
+    Rng serial(base);
+    for (int64_t i = 0; i < kFirst; ++i) serial.Next();
+    for (int64_t i = 0; i < kN; ++i) {
+      float s = static_cast<float>(serial.Uniform(kSlopeLo, kSlopeHi));
+      slopes[static_cast<size_t>(i)] = x[static_cast<size_t>(i)] > 0.0f ? 1.0f
+                                                                         : s;
+    }
+    serial = Rng(base);
+    for (int64_t i = 0; i < kFirst; ++i) serial.Next();
+    for (int64_t i = 0; i < kN; ++i) {
+      mask[static_cast<size_t>(i)] = serial.Bernoulli(kDropP) ? 0.0f
+                                                              : kDropScale;
+    }
+    for (bool simd_on : {false, true}) {
+      simd::SetSimdEnabled(simd_on);
+      std::vector<float> out(kN);
+      simd::RReluMultipliers(base, kFirst, kN, x.data(), kSlopeLo, kSlopeHi,
+                             out.data());
+      ExpectBitwiseEqual(slopes, out, "rrelu_multipliers vs serial");
+      simd::DropoutMask(base, kFirst, kN, kDropP, kDropScale, out.data());
+      ExpectBitwiseEqual(mask, out, "dropout_mask vs serial");
+    }
+  }
+}
+
+// Forward, input gradient and the generator's next draw of a training-mode
+// RRelu/Dropout, for one configuration of kernel table and thread count.
+struct RngOpRun {
+  std::vector<float> out;
+  std::vector<float> grad;
+  uint64_t next_draw = 0;
+};
+
+// The pre-counter serial loops, kept as the reference: one Rng call per
+// element in index order; the backward accumulates g * multiplier into a
+// zeroed gradient.
+RngOpRun SerialReference(const std::vector<float>& x,
+                         const std::vector<float>& g, bool rrelu,
+                         uint64_t seed) {
+  Rng rng(seed);
+  RngOpRun run;
+  for (size_t i = 0; i < x.size(); ++i) {
+    float m;
+    if (rrelu) {
+      float s = static_cast<float>(rng.Uniform(kSlopeLo, kSlopeHi));
+      run.out.push_back(x[i] > 0.0f ? x[i] : s * x[i]);
+      m = x[i] > 0.0f ? 1.0f : s;
+    } else {
+      m = rng.Bernoulli(kDropP) ? 0.0f : kDropScale;
+      run.out.push_back(x[i] * m);
+    }
+    run.grad.push_back(0.0f + g[i] * m);
+  }
+  run.next_draw = rng.Next();
+  return run;
+}
+
+RngOpRun RunRngOp(const std::vector<float>& x, const std::vector<float>& g,
+                  bool rrelu, uint64_t seed) {
+  Rng rng(seed);
+  const Shape shape{static_cast<int64_t>(x.size())};
+  Tensor input = Tensor::FromVector(shape, x, /*requires_grad=*/true);
+  Tensor y = rrelu ? ops::RRelu(input, /*training=*/true, &rng)
+                   : ops::Dropout(input, kDropP, /*training=*/true, &rng);
+  // d/dy of sum(y * g) is g exactly (1 * g).
+  Backward(ops::SumAll(ops::Mul(y, Tensor::FromVector(shape, g))));
+  return {y.data(), input.grad(), rng.Next()};
+}
+
+void ExpectRngOpMatchesSerial(bool rrelu) {
+  const char* what = rrelu ? "rrelu" : "dropout";
+  for (int64_t n : {1, 3, 4, 7, 8, 33, 96000}) {
+    std::vector<float> x = Fill(n, 68), g = Fill(n, 69);
+    const uint64_t seed = 1000 + static_cast<uint64_t>(n);
+    RngOpRun reference = SerialReference(x, g, rrelu, seed);
+    for (int threads : {1, 4}) {
+      for (bool simd_on : {false, true}) {
+        SimdGuard simd_guard;
+        ThreadCountGuard thread_guard(threads);
+        simd::SetSimdEnabled(simd_on);
+        RngOpRun run = RunRngOp(x, g, rrelu, seed);
+        SCOPED_TRACE(testing::Message() << what << " n=" << n << " threads="
+                                        << threads << " simd=" << simd_on);
+        ExpectBitwiseEqual(reference.out, run.out, "forward");
+        ExpectBitwiseEqual(reference.grad, run.grad, "input grad");
+        EXPECT_EQ(reference.next_draw, run.next_draw);
+      }
+    }
+  }
+}
+
+TEST(RngOpsParityTest, RReluMatchesSerialReference) {
+  ExpectRngOpMatchesSerial(/*rrelu=*/true);
+}
+
+TEST(RngOpsParityTest, DropoutMatchesSerialReference) {
+  ExpectRngOpMatchesSerial(/*rrelu=*/false);
+}
+
 TEST(SimdExactTest, DotI8MatchesIntegerReference) {
   SimdGuard guard;
   for (int64_t n : kSizes) {

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +130,23 @@ TEST(TkgDatasetTest, TsvRoundTrip) {
   EXPECT_EQ(loaded.value().valid(), original.valid());
   EXPECT_EQ(loaded.value().test(), original.test());
   EXPECT_EQ(loaded.value().num_entities(), original.num_entities());
+  fs::remove_all(dir);
+}
+
+TEST(TkgDatasetTest, LoadTsvNegativeIdIsInvalidArgument) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "logcl_tsv_negative_test";
+  fs::create_directories(dir);
+  ASSERT_TRUE(TinyDataset().SaveTsv(dir.string()).ok());
+  {
+    std::ofstream valid(dir / "valid.txt", std::ios::app);
+    valid << "-3\t0\t1\t1\n";
+  }
+  Result<TkgDataset> r = TkgDataset::LoadTsv(dir.string(), "x");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("valid.txt:"), std::string::npos)
+      << r.status().ToString();
   fs::remove_all(dir);
 }
 

@@ -18,17 +18,11 @@
 #include "common/observability.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "core/logcl_model.h"
-#include "serve/engine_snapshot.h"
 #include "serve/quant.h"
-#include "synth/generator.h"
 #include "tensor/buffer_pool.h"
-#include "tensor/jit.h"
 #include "tensor/ops.h"
-#include "tensor/optimizer.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
-#include "tkg/dataset.h"
 
 namespace logcl {
 namespace {
@@ -61,47 +55,6 @@ void ReportSimdTime(const std::string& kernel, bool simd_on,
                     (simd_on ? "_simd_ns" : "_scalar_ns"))
       ->Record(static_cast<int64_t>(ns_per_iter));
 }
-
-// Last-seen ns/iter per bench under the eager tape (0) and JIT replay (1);
-// a second atexit table renders the eager-vs-replay ratio (tensor/jit.h).
-std::map<std::string, std::array<double, 2>>& JitTimes() {
-  static auto* table = new std::map<std::string, std::array<double, 2>>();
-  return *table;
-}
-
-void ReportJitTime(const std::string& bench, bool jit_on,
-                   double ns_per_iter) {
-  static bool registered = false;
-  if (!registered) {
-    registered = true;
-    std::atexit([] {
-      std::printf("\n%-28s %14s %14s %9s\n", "bench (eager vs jit)",
-                  "eager ns/it", "jit ns/it", "speedup");
-      for (const auto& [name, ns] : JitTimes()) {
-        if (ns[0] <= 0.0 || ns[1] <= 0.0) continue;
-        std::printf("%-28s %14.0f %14.0f %8.2fx\n", name.c_str(), ns[0],
-                    ns[1], ns[0] / ns[1]);
-      }
-    });
-  }
-  JitTimes()[bench][jit_on ? 1 : 0] = ns_per_iter;
-  Metrics()
-      .GetHistogram("logcl.bench.jit." + bench +
-                    (jit_on ? "_jit_ns" : "_eager_ns"))
-      ->Record(static_cast<int64_t>(ns_per_iter));
-}
-
-// Scoped JIT override for the eager-vs-replay benches.
-class JitModeGuard {
- public:
-  explicit JitModeGuard(bool enabled) : previous_(jit::JitEnabled()) {
-    jit::SetJitEnabled(enabled);
-  }
-  ~JitModeGuard() { jit::SetJitEnabled(previous_); }
-
- private:
-  bool previous_;
-};
 
 // Scoped kernel-table override for the {size, simd} benches.
 class SimdModeGuard {
@@ -370,17 +323,13 @@ BENCHMARK(BM_Conv2x3)->Arg(32)->Arg(128);
 // gate elementwise, slice halves back apart. The data-movement ops do O(n)
 // copying per O(n) of fresh storage, so with malloc-per-op a large share of
 // the runtime is allocation + zero-init — the part the pool elides on
-// kUninit hits. Arg selects the executor: 0 = malloc per op, 1 = pooled,
-// 2 = pooled + JIT replay of the gate subchain (capture on the first
-// iteration, straight-line fused replay after); shapes repeat every
-// iteration, so the pooled runs are all hits after the first pass.
+// kUninit hits. Arg selects the allocator: 0 = malloc per op, 1 = pooled;
+// shapes repeat every iteration, so the pooled run is all hits after the
+// first pass.
 void BM_SmallOpChain(benchmark::State& state) {
   bool pool = state.range(0) != 0;
-  bool jit_on = state.range(0) == 2;
   bool saved_pool = BufferPoolEnabled();
   SetBufferPoolEnabled(pool);
-  JitModeGuard jit_guard(jit_on);
-  static jit::ChainCache* gate_cache = new jit::ChainCache();
   constexpr int64_t kBatch = 64;
   constexpr int64_t kDim = 64;
   constexpr int64_t kEntities = 256;
@@ -395,45 +344,32 @@ void BM_SmallOpChain(benchmark::State& state) {
   std::vector<int64_t> ridx(static_cast<size_t>(kBatch));
   for (auto& v : eidx) v = static_cast<int64_t>(rng.UniformInt(kEntities));
   for (auto& v : ridx) v = static_cast<int64_t>(rng.UniformInt(kEntities));
-  auto gate_chain = [](const std::vector<Tensor>& in) {
-    return ops::Relu(ops::Add(ops::Mul(in[0], in[1]), in[2]));
-  };
-  uint64_t start_ns = MonotonicNowNs();
   for (auto _ : state) {
     Tensor h;
     for (int i = 0; i < kRounds; ++i) {
       Tensor e = ops::IndexSelectRows(entities, eidx);
       Tensor r = ops::IndexSelectRows(relations, ridx);
       Tensor fused = ops::ConcatCols({e, r});
-      fused = gate_cache->Run({fused, gate, bias}, gate_chain);
+      fused = ops::Relu(ops::Add(ops::Mul(fused, gate), bias));
       h = ops::Add(ops::SliceCols(fused, 0, kDim),
                    ops::SliceCols(fused, kDim, kDim));
     }
     benchmark::DoNotOptimize(h);
   }
-  if (state.range(0) != 0) {
-    ReportJitTime("small_op_chain", jit_on,
-                  NsPerIter(state, MonotonicNowNs() - start_ns));
-  }
   state.SetItemsProcessed(state.iterations() * kRounds * kBatch * kDim);
   SetBufferPoolEnabled(saved_pool);
 }
-BENCHMARK(BM_SmallOpChain)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SmallOpChain)->Arg(0)->Arg(1);
 
 // Full training-step variant: same gated-residual shape plus backward and
 // grad zeroing. The pool's relative win is smaller here — kZero grad
 // buffers must be cleared whether pooled or not, and the elementwise
 // kernels are memory-bandwidth-bound — so this row is the honest
-// end-to-end-step number next to the allocation-bound chain above. Arg 2 =
-// pooled + JIT: the 12 per-layer gated-residual chains replay one shared
-// fused plan (forward and recorded backward).
+// end-to-end-step number next to the allocation-bound chain above.
 void BM_SmallOpChainTrainStep(benchmark::State& state) {
   bool pool = state.range(0) != 0;
-  bool jit_on = state.range(0) == 2;
   bool saved_pool = BufferPoolEnabled();
   SetBufferPoolEnabled(pool);
-  JitModeGuard jit_guard(jit_on);
-  static jit::ChainCache* layer_cache = new jit::ChainCache();
   constexpr int64_t kBatch = 256;
   constexpr int64_t kDim = 128;
   constexpr int64_t kEntities = 512;
@@ -450,11 +386,6 @@ void BM_SmallOpChainTrainStep(benchmark::State& state) {
   }
   std::vector<int64_t> batch(static_cast<size_t>(kBatch));
   for (auto& v : batch) v = static_cast<int64_t>(rng.UniformInt(kEntities));
-  auto layer_chain = [](const std::vector<Tensor>& in) {
-    return ops::Add(in[0],
-                    ops::Relu(ops::Add(ops::Mul(in[0], in[1]), in[2])));
-  };
-  uint64_t start_ns = MonotonicNowNs();
   for (auto _ : state) {
     embeddings.ZeroGrad();
     for (int l = 0; l < kLayers; ++l) {
@@ -463,123 +394,14 @@ void BM_SmallOpChainTrainStep(benchmark::State& state) {
     }
     Tensor h = ops::IndexSelectRows(embeddings, batch);
     for (int l = 0; l < kLayers; ++l) {
-      h = layer_cache->Run({h, gates[l], biases[l]}, layer_chain);
+      h = ops::Add(h, ops::Relu(ops::Add(ops::Mul(h, gates[l]), biases[l])));
     }
     Backward(ops::SumAll(ops::Mul(h, h)));
-  }
-  if (state.range(0) != 0) {
-    ReportJitTime("small_op_chain_train", jit_on,
-                  NsPerIter(state, MonotonicNowNs() - start_ns));
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
   SetBufferPoolEnabled(saved_pool);
 }
-BENCHMARK(BM_SmallOpChainTrainStep)->Arg(0)->Arg(1)->Arg(2);
-
-// Pure elementwise chain in the GRU-combine shape (the JIT's target
-// regime): h' = z*h + (1-z)*n, five kernels back to back with no data
-// movement in between, at the paper's entity-matrix scale ([E, d] with E in
-// the thousands — ICEWS14 is 7128 x 200). Eager walks the whole tensor once
-// per op through five pooled intermediates; replay fuses the chain into one
-// pass of L1-sized tiles, so the win grows with the working set. Arg:
-// 0 = eager pooled, 1 = JIT replay.
-void BM_JitFusedChain(benchmark::State& state) {
-  bool jit_on = state.range(0) != 0;
-  JitModeGuard jit_guard(jit_on);
-  static jit::ChainCache* combine_cache = new jit::ChainCache();
-  constexpr int64_t kBatch = 2048;
-  constexpr int64_t kDim = 128;
-  Rng rng(12);
-  Tensor z = Tensor::RandomNormal(Shape{kBatch, kDim}, 0.1f, &rng);
-  Tensor h = Tensor::RandomNormal(Shape{kBatch, kDim}, 0.1f, &rng);
-  Tensor n = Tensor::RandomNormal(Shape{kBatch, kDim}, 0.1f, &rng);
-  auto combine = [](const std::vector<Tensor>& in) {
-    Tensor one_minus_z = ops::AddScalar(ops::Neg(in[0]), 1.0f);
-    return ops::Add(ops::Mul(in[0], in[1]), ops::Mul(one_minus_z, in[2]));
-  };
-  uint64_t start_ns = MonotonicNowNs();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(combine_cache->Run({z, h, n}, combine));
-  }
-  ReportJitTime("fused_chain", jit_on,
-                NsPerIter(state, MonotonicNowNs() - start_ns));
-  state.SetItemsProcessed(state.iterations() * kBatch * kDim * 5);
-  state.SetLabel(jit_on ? "jit" : "eager");
-}
-BENCHMARK(BM_JitFusedChain)->Arg(0)->Arg(1);
-
-// --- end-to-end eager-vs-replay: one LogCL training epoch and one serving
-// batch on a small synthetic graph. These drive the real call sites (GRU
-// gates, time gate, lambda fusion, decoder projection) through their
-// ChainCaches; the atexit jit table prints the epoch and serving ratios.
-
-TkgDataset JitBenchData() {
-  SynthConfig config;
-  config.name = "jit-bench";
-  config.seed = 505;
-  config.num_entities = 256;
-  config.num_relations = 8;
-  config.num_timestamps = 16;
-  config.recurring_pool = 60;
-  config.num_cyclic = 16;
-  config.chains_per_timestamp = 3.0;
-  return GenerateSyntheticTkg(config);
-}
-
-LogClConfig JitBenchConfig() {
-  LogClConfig config;
-  config.embedding_dim = 64;
-  config.local.history_length = 3;
-  config.local.num_layers = 1;
-  config.local.time_dim = 8;
-  config.global.num_layers = 1;
-  config.decoder.num_kernels = 8;
-  config.seed = 31;
-  return config;
-}
-
-void BM_JitEpoch(benchmark::State& state) {
-  bool jit_on = state.range(0) != 0;
-  JitModeGuard jit_guard(jit_on);
-  TkgDataset data = JitBenchData();
-  LogClModel model(&data, JitBenchConfig());
-  AdamOptimizer optimizer(model.Parameters(), {});
-  model.TrainEpoch(&optimizer);  // warm-up: captures plans when enabled
-  uint64_t start_ns = MonotonicNowNs();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.TrainEpoch(&optimizer));
-  }
-  ReportJitTime("epoch", jit_on,
-                NsPerIter(state, MonotonicNowNs() - start_ns));
-  state.SetLabel(jit_on ? "jit" : "eager");
-}
-BENCHMARK(BM_JitEpoch)->Arg(0)->Arg(1);
-
-void BM_JitServe(benchmark::State& state) {
-  bool jit_on = state.range(0) != 0;
-  JitModeGuard jit_guard(jit_on);
-  TkgDataset data = JitBenchData();
-  LogClModel model(&data, JitBenchConfig());
-  auto snapshot = EngineSnapshot::Build(&model, 12);
-  Rng rng(13);
-  std::vector<ServeQuery> queries;
-  for (int i = 0; i < 32; ++i) {
-    queries.push_back(
-        {static_cast<int64_t>(rng.UniformInt(256)),
-         static_cast<int64_t>(rng.UniformInt(8))});
-  }
-  snapshot->ScoreBatch(queries);  // warm-up: captures plans when enabled
-  uint64_t start_ns = MonotonicNowNs();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(snapshot->ScoreBatch(queries));
-  }
-  ReportJitTime("serve_batch32", jit_on,
-                NsPerIter(state, MonotonicNowNs() - start_ns));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(queries.size()));
-  state.SetLabel(jit_on ? "jit" : "eager");
-}
-BENCHMARK(BM_JitServe)->Arg(0)->Arg(1);
+BENCHMARK(BM_SmallOpChainTrainStep)->Arg(0)->Arg(1);
 
 void BM_CrossEntropy(benchmark::State& state) {
   int64_t batch = state.range(0);

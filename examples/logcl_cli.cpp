@@ -18,7 +18,7 @@
 #include "common/observability.h"
 #include "core/trainer.h"
 #include "synth/presets.h"
-#include "tensor/serialization.h"
+#include "tensor/checkpoint.h"
 #include "tkg/filters.h"
 
 namespace {
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
 
   if (flags.contains("load")) {
     std::vector<Tensor> parameters = model->Parameters();
-    Status status = LoadParameters(flags["load"], &parameters);
+    Status status = checkpoint::Load(flags["load"], &parameters);
     if (!status.ok()) {
       std::fprintf(stderr, "checkpoint load failed: %s\n",
                    status.ToString().c_str());
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   }
 
   if (flags.contains("save")) {
-    Status status = SaveParameters(model->Parameters(), flags["save"]);
+    Status status = checkpoint::Save(model->Parameters(), flags["save"]);
     if (!status.ok()) {
       std::fprintf(stderr, "checkpoint save failed: %s\n",
                    status.ToString().c_str());

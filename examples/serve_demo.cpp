@@ -13,7 +13,7 @@
 #include "core/trainer.h"
 #include "serve/inference_engine.h"
 #include "synth/presets.h"
-#include "tensor/serialization.h"
+#include "tensor/checkpoint.h"
 #include "tkg/filters.h"
 
 int main() {
@@ -33,21 +33,21 @@ int main() {
   offline.learning_rate = 3e-3f;
   EvalResult trained = TrainAndEvaluate(&trainer_model, &filter, offline);
   std::printf("trained:  %s\n", trained.ToString().c_str());
-  std::string checkpoint =
+  std::string checkpoint_path =
       (std::filesystem::temp_directory_path() / "serve_demo_ckpt.bin")
           .string();
-  if (!SaveParameters(trainer_model.Parameters(), checkpoint).ok()) {
+  if (!checkpoint::Save(trainer_model.Parameters(), checkpoint_path).ok()) {
     std::printf("checkpoint save failed\n");
     return 1;
   }
 
   // --- Deploy: fresh model + restored weights + engine. ---
   LogClModel deployed(&dataset, config);
-  if (!LoadModelCheckpoint(&deployed, checkpoint).ok()) {
+  if (!LoadModelCheckpoint(&deployed, checkpoint_path).ok()) {
     std::printf("checkpoint load failed\n");
     return 1;
   }
-  std::filesystem::remove(checkpoint);
+  std::filesystem::remove(checkpoint_path);
 
   int64_t horizon = dataset.num_timestamps() - 2;
   EngineOptions options;

@@ -47,7 +47,6 @@ RuntimeConfig Parse() {
   config.pool_max_mb =
       EnvInt64NonNegative("LOGCL_POOL_MAX_MB", config.pool_max_mb);
   config.simd = ParseBoolFlag(std::getenv("LOGCL_SIMD"), config.simd);
-  config.jit = ParseBoolFlag(std::getenv("LOGCL_JIT"), config.jit);
   config.interop = ParseBoolFlag(std::getenv("LOGCL_INTEROP"), config.interop);
   config.fused_mp =
       ParseBoolFlag(std::getenv("LOGCL_FUSED_MP"), config.fused_mp);
@@ -97,8 +96,6 @@ std::vector<RuntimeConfigEntry> EffectiveConfig() {
                      "1024", "MiB cap on the global pooled free lists"});
   entries.push_back({"LOGCL_SIMD", OnOff(c.simd), "on",
                      "runtime-dispatched AVX2/NEON kernel tables"});
-  entries.push_back({"LOGCL_JIT", OnOff(c.jit), "off",
-                     "graph-capture JIT executor with fused chains"});
   entries.push_back({"LOGCL_INTEROP", OnOff(c.interop), "on",
                      "multi-threaded ready-queue autograd engine"});
   entries.push_back({"LOGCL_FUSED_MP", OnOff(c.fused_mp), "on",

@@ -1,7 +1,7 @@
 // RuntimeConfig: one typed snapshot of every LOGCL_* environment knob.
 //
 // Before this header existed each subsystem parsed its own env var with its
-// own lazily-initialised static (pool, SIMD, JIT, inter-op, fused message
+// own lazily-initialised static (pool, SIMD, inter-op, fused message
 // passing, quantization, observability, ...), each with slightly different
 // accepted spellings. RuntimeConfig::Get() reads the whole environment ONCE
 // (on first access from any subsystem) into an immutable snapshot with one
@@ -53,9 +53,6 @@ struct RuntimeConfig {
   /// LOGCL_SIMD: runtime-dispatched AVX2/NEON kernel tables (bitwise-equal
   /// to scalar). Default on.
   bool simd = true;
-  /// LOGCL_JIT: graph-capture JIT executor with fused elementwise chains.
-  /// Default off.
-  bool jit = false;
   /// LOGCL_INTEROP: multi-threaded ready-queue autograd engine. Default on.
   bool interop = true;
   /// LOGCL_FUSED_MP: fused CSR message-passing autograd op. Default on.

@@ -6,17 +6,6 @@
 #include "tensor/ops.h"
 
 namespace logcl {
-namespace {
-
-// Eq.7-8 over in = {R' W3, b, R', R}: U = sigmoid(in0 + in1);
-// R = U*in2 + (1-U)*in3. Pure elementwise, so JIT-capturable.
-Tensor TimeGateChain(const std::vector<Tensor>& in) {
-  Tensor gate = ops::Sigmoid(ops::Add(in[0], in[1]));
-  Tensor keep = ops::AddScalar(ops::Neg(gate), 1.0f);
-  return ops::Add(ops::Mul(gate, in[2]), ops::Mul(keep, in[3]));
-}
-
-}  // namespace
 
 LocalEncoder::LocalEncoder(int64_t dim, int64_t num_relations_with_inverse,
                            LocalEncoderOptions options, Rng* rng)
@@ -101,13 +90,12 @@ LocalEncoderOutput LocalEncoder::EncodeSequence(
           ops::ScatterMeanRows(subject_states, graph.RelCsr(num_relations));
       relation_input = ops::Add(per_relation_mean, relations);
     }
-    // Eq.7-8: time-gated relation update. The chain between the matmul and
-    // the output is a fixed elementwise segment, so it runs through a JIT
-    // capture cache (eager pass-through under LOGCL_JIT=0).
-    relations = time_gate_cache_.Run(
-        {ops::MatMul(relation_input, w_time_gate_), b_time_gate_,
-         relation_input, relations},
-        TimeGateChain);
+    // Eq.7-8: U = sigmoid(R' W3 + b); R = U*R' + (1-U)*R.
+    Tensor gate = ops::Sigmoid(
+        ops::Add(ops::MatMul(relation_input, w_time_gate_), b_time_gate_));
+    Tensor keep = ops::AddScalar(ops::Neg(gate), 1.0f);
+    relations = ops::Add(ops::Mul(gate, relation_input),
+                         ops::Mul(keep, relations));
 
     out.aggregated.push_back(aggregated);
     out.evolved.push_back(entities);

@@ -21,7 +21,6 @@
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "nn/time_encoding.h"
-#include "tensor/jit.h"
 #include "tkg/dataset.h"
 
 namespace logcl {
@@ -92,8 +91,6 @@ class LocalEncoder : public Module {
   GruCell entity_gru_;
   Tensor w_time_gate_;   // W3 of Eq.8
   Tensor b_time_gate_;
-  // Capture cache for the Eq.7-8 elementwise gate chain (tensor/jit.h).
-  mutable jit::ChainCache time_gate_cache_;
   Linear w_query_;       // W4 of Eq.9 ([r || h] -> d)
   Linear w_attention_;   // W5 of Eq.10 (d -> 1)
 };

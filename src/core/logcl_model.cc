@@ -125,12 +125,8 @@ LogClModel::ScoreParts LogClModel::ScorePhase(
   Tensor relation_matrix;
   if (config_.use_local && config_.use_global) {
     float lambda = config_.lambda;
-    fused_query = fusion_cache_.Run(
-        {parts.local_query, parts.global_query},
-        [lambda](const std::vector<Tensor>& in) {
-          return ops::Add(ops::Scale(in[0], lambda),
-                          ops::Scale(in[1], 1.0f - lambda));
-        });
+    fused_query = ops::Add(ops::Scale(parts.local_query, lambda),
+                           ops::Scale(parts.global_query, 1.0f - lambda));
     candidates = local.entities;
     relation_matrix = local.relations;
   } else if (config_.use_local) {

@@ -25,7 +25,6 @@
 #include "core/local_encoder.h"
 #include "core/tkg_model.h"
 #include "nn/convtranse.h"
-#include "tensor/jit.h"
 #include "tkg/history_index.h"
 
 namespace logcl {
@@ -265,9 +264,6 @@ class LogClModel : public TkgModel {
   GlobalEncoder global_encoder_;
   ContrastModule contrast_;
   ConvTransE decoder_;
-  // Capture cache for the Eq.19 lambda-fusion chain (tensor/jit.h);
-  // mutable because ScorePhase is const on both train and serve paths.
-  mutable jit::ChainCache fusion_cache_;
 };
 
 }  // namespace logcl

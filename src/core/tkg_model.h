@@ -82,11 +82,6 @@ class TkgModel : public Module {
   /// loss the pre-redesign `double TrainEpoch` returned.
   virtual EpochStats TrainEpoch(AdamOptimizer* optimizer) = 0;
 
-  /// Deprecation shim for callers that only want the scalar mean loss.
-  double TrainEpochLoss(AdamOptimizer* optimizer) {
-    return TrainEpoch(optimizer).loss;
-  }
-
   /// Online-learning hook (Section IV.H): one gradient update on the facts
   /// of timestamp `t` after it has been evaluated. Models that do not
   /// support online updates keep the default no-op.

@@ -5,14 +5,6 @@
 #include "tensor/ops.h"
 
 namespace logcl {
-namespace {
-
-// FC epilogue over in = {x W, b}: ReLU(in0 + row-broadcast in1).
-Tensor ProjectChain(const std::vector<Tensor>& in) {
-  return ops::Relu(ops::Add(in[0], in[1]));
-}
-
-}  // namespace
 
 ConvTransE::ConvTransE(int64_t dim, ConvTransEOptions options, Rng* rng)
     : options_(options), fc_(options.num_kernels * dim, dim, rng) {
@@ -28,10 +20,7 @@ Tensor ConvTransE::Decode(const Tensor& h, const Tensor& r, bool training,
   LOGCL_CHECK(h.shape() == r.shape());
   Tensor features = ops::Relu(ops::Conv2x3(h, r, kernels_, kernel_bias_));
   features = ops::Dropout(features, options_.dropout, training, rng);
-  // fc_ is built with a bias, so its forward decomposes as a matmul plus
-  // the JIT-capturable bias-add + ReLU epilogue.
-  Tensor pre = ops::MatMul(features, fc_.weight());
-  return projection_cache_.Run({pre, fc_.bias()}, ProjectChain);
+  return ops::Relu(fc_.Forward(features));
 }
 
 Tensor ConvTransE::Score(const Tensor& h, const Tensor& r,

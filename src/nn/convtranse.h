@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "nn/linear.h"
 #include "nn/module.h"
-#include "tensor/jit.h"
 #include "tensor/tensor.h"
 
 namespace logcl {
@@ -39,8 +38,6 @@ class ConvTransE : public Module {
   Tensor kernels_;  // [K, 6] 2-channel width-3 taps
   Tensor kernel_bias_;  // [K]
   Linear fc_;       // K*d -> d
-  // Capture cache for the bias-add + ReLU projection tail (tensor/jit.h).
-  mutable jit::ChainCache projection_cache_;
 };
 
 }  // namespace logcl

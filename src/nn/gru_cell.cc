@@ -5,21 +5,12 @@
 namespace logcl {
 namespace {
 
-// Captureless builders for the JIT caches: the matmul results arrive as
-// inputs, so each builder is a pure elementwise chain the tracer can
-// compile (see tensor/jit.h).
-Tensor GateChain(const std::vector<Tensor>& in) {
-  return ops::Sigmoid(ops::Add(ops::Add(in[0], in[1]), in[2]));
-}
-
-Tensor CandidateChain(const std::vector<Tensor>& in) {
-  return ops::Tanh(ops::Add(ops::Add(in[0], in[1]), in[2]));
-}
-
-// h' = z*h + (1-z)*n over in = {z, h, n}.
-Tensor CombineChain(const std::vector<Tensor>& in) {
-  Tensor one_minus_z = ops::AddScalar(ops::Neg(in[0]), 1.0f);
-  return ops::Add(ops::Mul(in[0], in[1]), ops::Mul(one_minus_z, in[2]));
+// sigmoid(x W + h U + b).
+Tensor Gate(const Tensor& x, const Tensor& w, const Tensor& h,
+            const Tensor& u, const Tensor& b) {
+  Tensor xw = ops::MatMul(x, w);
+  Tensor hu = ops::MatMul(h, u);
+  return ops::Sigmoid(ops::Add(ops::Add(xw, hu), b));
 }
 
 }  // namespace
@@ -37,14 +28,14 @@ GruCell::GruCell(int64_t dim, Rng* rng) {
 }
 
 Tensor GruCell::Forward(const Tensor& h, const Tensor& x) const {
-  using ops::MatMul;
-  Tensor z =
-      gate_cache_.Run({MatMul(x, wz_), MatMul(h, uz_), bz_}, GateChain);
-  Tensor r =
-      gate_cache_.Run({MatMul(x, wr_), MatMul(h, ur_), br_}, GateChain);
-  Tensor n = candidate_cache_.Run(
-      {MatMul(x, wn_), MatMul(ops::Mul(r, h), un_), bn_}, CandidateChain);
-  return combine_cache_.Run({z, h, n}, CombineChain);
+  Tensor z = Gate(x, wz_, h, uz_, bz_);
+  Tensor r = Gate(x, wr_, h, ur_, br_);
+  Tensor xw = ops::MatMul(x, wn_);
+  Tensor rhu = ops::MatMul(ops::Mul(r, h), un_);
+  Tensor n = ops::Tanh(ops::Add(ops::Add(xw, rhu), bn_));
+  // h' = z*h + (1-z)*n.
+  Tensor one_minus_z = ops::AddScalar(ops::Neg(z), 1.0f);
+  return ops::Add(ops::Mul(z, h), ops::Mul(one_minus_z, n));
 }
 
 }  // namespace logcl

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "nn/module.h"
-#include "tensor/jit.h"
 #include "tensor/tensor.h"
 
 namespace logcl {
@@ -27,12 +26,6 @@ class GruCell : public Module {
   Tensor wz_, uz_, bz_;
   Tensor wr_, ur_, br_;
   Tensor wn_, un_, bn_;
-  // JIT capture caches for the elementwise chains between the matmuls
-  // (tensor/jit.h). z and r share one cache: identical chain, identical
-  // signature. No-ops under LOGCL_JIT=0.
-  mutable jit::ChainCache gate_cache_;
-  mutable jit::ChainCache candidate_cache_;
-  mutable jit::ChainCache combine_cache_;
 };
 
 }  // namespace logcl

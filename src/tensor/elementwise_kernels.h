@@ -1,14 +1,7 @@
-// Shared scalar elementwise-op definitions: the single source of truth for
-// the forward formula and local derivative of every fusable unary op, plus
-// the same-shape binary backward epilogue shared by the eager path
-// (tensor/ops.cc) and the JIT's fused replay kernels (tensor/jit_fusion.cc).
-//
-// Keeping one copy is what makes the JIT's bitwise-parity contract
-// checkable: a captured plan replays literally the same per-element
-// arithmetic (and the same ParallelFor grains) as eager mode, so
-// LOGCL_JIT=0 and =1 produce bit-identical tensors. Adding an op here (and
-// to the OpCode table in tensor/jit_internal.h) makes it fusable; an op
-// whose formula lives only in ops.cc is eager-only.
+// Scalar elementwise-op definitions for tensor/ops.cc: the forward formula
+// and local derivative of every table-driven unary op, plus the same-shape
+// binary backward epilogue. Each formula lives here once, and the
+// kind-specialised loops below constant-fold the per-element switch.
 
 #ifndef LOGCL_TENSOR_ELEMENTWISE_KERNELS_H_
 #define LOGCL_TENSOR_ELEMENTWISE_KERNELS_H_
@@ -25,15 +18,12 @@ namespace ewise {
 
 /// Arithmetic kind of an ElementwiseBinary call when the SIMD layer has a
 /// dedicated kernel pair for it (tensor/simd.h). kGeneric keeps the lambda
-/// loops and is never captured by the JIT tracer.
+/// loops.
 enum class BinaryKind : uint8_t { kGeneric, kAdd, kSub, kMul };
 
 /// Unary ops with a closed-form (x, y, param) -> dy/dx in the table below.
-/// Relu is not listed: it has dedicated SIMD kernels and its own OpCode.
-/// kCustom marks ElementwiseUnary calls whose lambdas are not in this table;
-/// the JIT tracer treats those as untraceable.
+/// Relu is not listed: it has dedicated SIMD kernels.
 enum class UnaryKind : uint8_t {
-  kCustom,
   kNeg,
   kSigmoid,
   kTanh,
@@ -68,15 +58,11 @@ inline float UnaryForward(UnaryKind kind, float x, float param) {
       return std::log(std::max(x, param));
     case UnaryKind::kCos:
       return std::cos(x);
-    case UnaryKind::kCustom:
-      break;
   }
   return x;
 }
 
-/// Local derivative dy/dx at (x, y = UnaryForward(x)). Reads only the
-/// operands UnaryNeedsX / UnaryNeedsY declare, so callers may pass 0 for
-/// the other one (the JIT saves only the declared operands in its arena).
+/// Local derivative dy/dx at (x, y = UnaryForward(x)).
 inline float UnaryDeriv(UnaryKind kind, float x, float y, float param) {
   switch (kind) {
     case UnaryKind::kNeg:
@@ -93,20 +79,8 @@ inline float UnaryDeriv(UnaryKind kind, float x, float y, float param) {
       return 1.0f / std::max(x, param);
     case UnaryKind::kCos:
       return -std::sin(x);
-    case UnaryKind::kCustom:
-      break;
   }
   return 0.0f;
-}
-
-/// Whether UnaryDeriv reads the input x / the output y for `kind`.
-inline bool UnaryNeedsX(UnaryKind kind) {
-  return kind == UnaryKind::kLeakyRelu || kind == UnaryKind::kLog ||
-         kind == UnaryKind::kCos;
-}
-inline bool UnaryNeedsY(UnaryKind kind) {
-  return kind == UnaryKind::kSigmoid || kind == UnaryKind::kTanh ||
-         kind == UnaryKind::kExp;
 }
 
 namespace internal {
@@ -126,8 +100,7 @@ template <UnaryKind K, bool Fresh>
 inline void UnaryBackwardLoopT(const float* g, const float* x, const float* y,
                                float* gx, int64_t n, float param) {
   for (int64_t i = 0; i < n; ++i) {
-    float d = g[i] * UnaryDeriv(K, UnaryNeedsX(K) ? x[i] : 0.0f,
-                                UnaryNeedsY(K) ? y[i] : 0.0f, param);
+    float d = g[i] * UnaryDeriv(K, x[i], y[i], param);
     if constexpr (Fresh) {
       gx[i] = 0.0f + d;
     } else {
@@ -158,15 +131,13 @@ inline void UnaryBackwardKernelT(UnaryKind kind, const float* g,
       return UnaryBackwardLoopT<UnaryKind::kLog, Fresh>(g, x, y, gx, n, param);
     case UnaryKind::kCos:
       return UnaryBackwardLoopT<UnaryKind::kCos, Fresh>(g, x, y, gx, n, param);
-    case UnaryKind::kCustom:
-      break;
   }
 }
 
 }  // namespace internal
 
-/// y[i] = f(x[i]) over [0, n); the serial kernel both the eager unary loop
-/// and the JIT's fused tiles invoke per shard.
+/// y[i] = f(x[i]) over [0, n); the serial kernel the unary op runs per
+/// shard.
 inline void UnaryForwardKernel(UnaryKind kind, const float* x, float* y,
                                int64_t n, float param) {
   using internal::UnaryForwardLoopT;
@@ -185,16 +156,13 @@ inline void UnaryForwardKernel(UnaryKind kind, const float* x, float* y,
       return UnaryForwardLoopT<UnaryKind::kLog>(x, y, n, param);
     case UnaryKind::kCos:
       return UnaryForwardLoopT<UnaryKind::kCos>(x, y, n, param);
-    case UnaryKind::kCustom:
-      break;
   }
 }
 
-/// gx[i] += g[i] * f'(x[i]) over [0, n); x / y may be null when
-/// UnaryNeedsX / UnaryNeedsY is false for `kind`. With fresh=true the
-/// destination is an unwritten kUninit buffer and each element is written
-/// as 0.0f + contribution instead (bitwise-equal to zero-fill + the
-/// accumulate form; see TensorNode::GradForFullWrite).
+/// gx[i] += g[i] * f'(x[i]) over [0, n), reading the input x and the
+/// output y. With fresh=true the destination is an unwritten kUninit buffer
+/// and each element is written as 0.0f + contribution instead (bitwise-equal
+/// to zero-fill + the accumulate form; see TensorNode::GradForFullWrite).
 inline void UnaryBackwardKernel(UnaryKind kind, const float* g, const float* x,
                                 const float* y, float* gx, int64_t n,
                                 float param, bool fresh = false) {

@@ -12,7 +12,6 @@
 #include "common/runtime_config.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/elementwise_kernels.h"
-#include "tensor/jit.h"
 #include "tensor/simd.h"
 
 namespace logcl {
@@ -89,8 +88,7 @@ using simd::MatMulRowGrain;
 // Which arithmetic op an ElementwiseBinary call is, when it is one the SIMD
 // layer has a dedicated kernel for. The same-shape fast paths dispatch on
 // this instead of the lambdas; the SIMD kernels are bitwise-equal to the
-// per-element loops (see tensor/simd.h). Shared with the JIT tracer, which
-// captures exactly these kinds (tensor/elementwise_kernels.h).
+// per-element loops (see tensor/simd.h).
 using BinOpKind = ewise::BinaryKind;
 
 // The dispatched SIMD kernels for one known arithmetic kind, over n
@@ -147,19 +145,6 @@ inline void BinaryGradBKernel(BinOpKind kind, const float* g, const float* a,
   LOGCL_CHECK(false) << "no SIMD kernel for a generic binary op";
 }
 
-// ops.cc broadcast mode -> the tracer's mirror enum.
-inline jit::internal::TraceBroadcast ToTraceBroadcast(BroadcastMode mode) {
-  switch (mode) {
-    case BroadcastMode::kSame:
-      return jit::internal::TraceBroadcast::kSame;
-    case BroadcastMode::kScalarB:
-      return jit::internal::TraceBroadcast::kScalarB;
-    case BroadcastMode::kRowB:
-      return jit::internal::TraceBroadcast::kRowB;
-  }
-  return jit::internal::TraceBroadcast::kSame;
-}
-
 // Shared implementation for Add/Sub/Mul. Same-shape and row-broadcast
 // operands ([n, d] op [1, d]: every Linear bias, the GRU gate biases, the
 // time gate) run the SIMD kernels of `kind`; a scalar b, and the generic
@@ -200,7 +185,7 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, ForwardFn fwd,
       for (int64_t i = i0; i < i1; ++i) od[i] = fwd(av[i], bv[0]);
     });
   }
-  Tensor result = Tensor::MakeOpOutput(
+  return Tensor::MakeOpOutput(
       a.shape(), std::move(out), {a, b},
       [mode, n, rows, cols, bwd, kind](Node& node) {
         const auto& pa = node.parents[0];
@@ -236,7 +221,7 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, ForwardFn fwd,
           }
           // No accumulation aliasing: one pass handles both sides, with
           // the null checks hoisted so each live variant stays branch-free
-          // per element (shared with the JIT's fused backward kernels).
+          // per element.
           ewise::SameShapeBinaryBackward(g, ad, bd, ga, gb, n, kGrain, bwd,
                                          fresh_a, fresh_b);
           return;
@@ -305,15 +290,11 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, ForwardFn fwd,
           }
         }
       });
-  if (jit::internal::Tracing()) {
-    jit::internal::TraceBinary(kind, ToTraceBroadcast(mode), a, b, result);
-  }
-  return result;
 }
 
 // Shared implementation for elementwise unary ops. The forward formula and
-// local derivative both come from the ewise table (the single source shared
-// with the JIT's fused kernels); `param` feeds the parameterised kinds.
+// local derivative both come from the ewise table; `param` feeds the
+// parameterised kinds.
 Tensor ElementwiseUnary(const Tensor& x, ewise::UnaryKind kind,
                         float param = 0.0f) {
   LOGCL_CHECK(x.defined());
@@ -324,7 +305,7 @@ Tensor ElementwiseUnary(const Tensor& x, ewise::UnaryKind kind,
   ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
     ewise::UnaryForwardKernel(kind, xv + i0, od + i0, i1 - i0, param);
   });
-  Tensor result = Tensor::MakeOpOutput(
+  return Tensor::MakeOpOutput(
       x.shape(), std::move(out), {x}, [n, kind, param](Node& node) {
         const auto& px = node.parents[0];
         if (!px->requires_grad) return;
@@ -338,10 +319,6 @@ Tensor ElementwiseUnary(const Tensor& x, ewise::UnaryKind kind,
                                      i1 - i0, param, fresh);
         });
       });
-  if (jit::internal::Tracing()) {
-    jit::internal::TraceUnary(kind, param, x, result);
-  }
-  return result;
 }
 
 }  // namespace
@@ -443,7 +420,7 @@ Tensor Scale(const Tensor& a, float s) {
   ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
     simd::Scale(av + i0, s, od + i0, i1 - i0);
   });
-  Tensor result = Tensor::MakeOpOutput(
+  return Tensor::MakeOpOutput(
       a.shape(), std::move(out), {a}, [n, s](Node& node) {
         const auto& pa = node.parents[0];
         if (!pa->requires_grad) return;
@@ -454,8 +431,6 @@ Tensor Scale(const Tensor& a, float s) {
           (fresh ? simd::AxpyFresh : simd::Axpy)(s, g + i0, ga + i0, i1 - i0);
         });
       });
-  if (jit::internal::Tracing()) jit::internal::TraceScale(a, s, result);
-  return result;
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
@@ -467,7 +442,7 @@ Tensor AddScalar(const Tensor& a, float s) {
   ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
     simd::AddScalar(av + i0, s, od + i0, i1 - i0);
   });
-  Tensor result = Tensor::MakeOpOutput(
+  return Tensor::MakeOpOutput(
       a.shape(), std::move(out), {a}, [n](Node& node) {
         const auto& pa = node.parents[0];
         if (!pa->requires_grad) return;
@@ -479,8 +454,6 @@ Tensor AddScalar(const Tensor& a, float s) {
                                                              i1 - i0);
         });
       });
-  if (jit::internal::Tracing()) jit::internal::TraceAddScalar(a, s, result);
-  return result;
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -1601,7 +1574,7 @@ Tensor Relu(const Tensor& x) {
   ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
     simd::Relu(xv + i0, od + i0, i1 - i0);
   });
-  Tensor result = Tensor::MakeOpOutput(
+  return Tensor::MakeOpOutput(
       x.shape(), std::move(out), {x}, [n](Node& node) {
         const auto& px = node.parents[0];
         if (!px->requires_grad) return;
@@ -1614,8 +1587,6 @@ Tensor Relu(const Tensor& x) {
               xd + i0, g + i0, gx + i0, i1 - i0);
         });
       });
-  if (jit::internal::Tracing()) jit::internal::TraceRelu(x, result);
-  return result;
 }
 
 Tensor LeakyRelu(const Tensor& x, float slope) {

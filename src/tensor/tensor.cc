@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/stringpiece.h"
 #include "tensor/buffer_pool.h"
-#include "tensor/jit.h"
 
 namespace logcl {
 
@@ -220,10 +219,6 @@ Tensor Tensor::MakeOpOutput(
     }
   }
   Tensor out(NewNode(shape, std::move(data), any_grad));
-  // JIT capture audit: every op-output node is counted so a trace missing
-  // hooks for some op (MatMul, reductions, RNG ops) fails compilation
-  // instead of replaying an incomplete plan (tensor/jit.h).
-  jit::internal::NoteNodeCreated();
   if (any_grad) {
     auto& node = *out.node_;
     node.parents.reserve(parents.size());

@@ -11,6 +11,11 @@ namespace logcl {
 
 namespace {
 
+// Largest time id a split file may hold, exclusive. The per-time fact index
+// has one slot per id up to the largest, so an unbounded id would size it
+// from untrusted input.
+constexpr int64_t kMaxTimeId = int64_t{1} << 24;
+
 void SortFacts(std::vector<Quadruple>* facts) {
   std::sort(facts->begin(), facts->end(),
             [](const Quadruple& a, const Quadruple& b) {
@@ -61,6 +66,13 @@ Result<std::vector<Quadruple>> ReadSplitFile(const std::string& path) {
                       static_cast<long long>(value.value())));
       }
       *slots[i] = value.value();
+    }
+    if (q.time >= kMaxTimeId) {
+      return Status::InvalidArgument(
+          StrFormat("%s:%lld: time id %lld is not below %lld", path.c_str(),
+                    static_cast<long long>(line_number),
+                    static_cast<long long>(q.time),
+                    static_cast<long long>(kMaxTimeId)));
     }
     facts.push_back(q);
   }

@@ -55,6 +55,7 @@ class TkgDataset {
 
   /// Loads `<dir>/train.txt`, `valid.txt`, `test.txt` with whitespace-
   /// separated "s r o t" integer rows (the standard benchmark format).
+  /// A negative id or a time id at or above 2^24 is InvalidArgument.
   static Result<TkgDataset> LoadTsv(const std::string& dir, std::string name);
 
   /// Writes the three split files into `dir` (created by the caller).

@@ -3,8 +3,7 @@
 // thread counts, the scalar-loss API contract and its explicit-seed escape
 // hatch, the kUninit fresh-grad write path under poison mode (including the
 // -0.0 normalisation the `0.0f + x` form exists for), full-epoch training
-// parity with LOGCL_INTEROP on/off, JIT-chain scheduling under the engine,
-// and the logcl.autograd.* metrics.
+// parity with LOGCL_INTEROP on/off, and the logcl.autograd.* metrics.
 
 #include <cmath>
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include "core/logcl_model.h"
 #include "synth/generator.h"
 #include "tensor/buffer_pool.h"
-#include "tensor/jit.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 #include "tensor/tensor.h"
@@ -48,15 +46,6 @@ struct PoisonModeGuard {
     SetPoisonUninitEnabled(enabled);
   }
   ~PoisonModeGuard() { SetPoisonUninitEnabled(previous_); }
-  bool previous_;
-};
-
-// Scoped JIT capture mode.
-struct JitModeGuard {
-  explicit JitModeGuard(bool enabled) : previous_(jit::JitEnabled()) {
-    jit::SetJitEnabled(enabled);
-  }
-  ~JitModeGuard() { jit::SetJitEnabled(previous_); }
   bool previous_;
 };
 
@@ -328,24 +317,6 @@ TEST(AutogradEpochParityTest, TrainEpochBitwiseIdenticalInterOpOnOff) {
       EXPECT_EQ(on.grads[i], off.grads[i])
           << "grad " << i << " at " << threads << " threads";
     }
-  }
-}
-
-// JIT fused-chain nodes are scheduled as ordinary engine nodes; capture +
-// replay under the inter-op engine must match the serial engine bitwise.
-TEST(AutogradEpochParityTest, JitChainsScheduleBitwiseUnderInterOp) {
-  JitModeGuard jit(true);
-  TkgDataset d = SmallDataset();
-  ThreadCountGuard thread_guard;
-  SetNumThreads(4);
-  EpochResult on = RunEpochInterOp(d, /*interop=*/true);
-  EpochResult off = RunEpochInterOp(d, /*interop=*/false);
-  EXPECT_EQ(on.loss, off.loss);
-  EXPECT_EQ(on.scores, off.scores);
-  ASSERT_EQ(on.params.size(), off.params.size());
-  for (size_t i = 0; i < on.params.size(); ++i) {
-    EXPECT_EQ(on.params[i], off.params[i]) << "parameter " << i;
-    EXPECT_EQ(on.grads[i], off.grads[i]) << "grad " << i;
   }
 }
 

@@ -2,8 +2,11 @@
 // QueryGraph::ReachableRows) against the full-width encode over all E
 // entity rows: bit-for-bit equal rows for every aggregator kind and batch
 // size, plus the model-level behaviour that must not move with it (LogCL-G
-// still encodes every row; fixed-seed training losses and test MRR).
+// still encodes every row; fixed-seed training losses, test MRR and one
+// served logit row).
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -256,6 +259,48 @@ TEST(GlobalEncoderParityTest, FixedSeedTrainingLossesAndTestMrr) {
   EvalResult result = model.Evaluate(Split::kTest, &filter);
   EXPECT_EQ(result.count, 1104);
   EXPECT_NEAR(result.mrr, 18.456740, 5e-7);
+
+  // One served row, pinned bit for bit: the logits over all 120 entities for
+  // the first test query (0, 4, ?, 86). The MRR above tolerates small
+  // drifts; a reordered op in the GRU, time gate, lambda fusion or decoder
+  // projection moves these bits.
+  const Quadruple& query = dataset.test().front();
+  ASSERT_EQ(query.subject, 0);
+  ASSERT_EQ(query.time, 86);
+  const std::vector<float> expected = {
+      -1.20595253f, -1.18590403f, 1.5810678f, -1.66677558f, -0.434491426f,
+      0.193751127f, 0.702148974f, 0.298239768f, -0.99841702f, 0.673720479f,
+      0.0515605211f, 0.108712032f, -0.200020075f, -0.257793427f, 0.148446366f,
+      -0.641355872f, -0.0982391909f, -0.406477869f, -0.00159797817f,
+      -1.60119259f, 0.306874722f, -0.522236109f, -1.99520671f, 0.365066826f,
+      -1.25148475f, -4.3498745f, -0.259482175f, -0.277396262f, -0.0327189192f,
+      -0.244879335f, -1.42750788f, 1.8526057f, -0.148049653f, -0.76309365f,
+      -0.562361479f, 0.289883047f, -0.705509603f, -1.04566061f, -0.587325096f,
+      -0.274868369f, -0.90453583f, -1.59162235f, -0.2236f, 1.02609503f,
+      1.94776249f, -0.21944876f, 0.0944753513f, -0.20361805f, 0.148602128f,
+      0.0640934184f, 0.441083848f, -2.15872884f, 1.04933953f, -0.910973549f,
+      0.950412333f, -2.38520885f, -0.124601036f, -0.0543866791f, -1.37288547f,
+      0.745720029f, -0.630991936f, -0.648458898f, 0.0619268268f, 0.725890696f,
+      -0.430568993f, 0.902035594f, -1.14407945f, 0.196521178f, 0.56115824f,
+      0.23295778f, 0.509122729f, 2.35782313f, 1.22394097f, 0.379001528f,
+      0.436172128f, -0.511415005f, -0.477817237f, 1.48341119f, -3.92803001f,
+      1.21227384f, -0.108916573f, 0.0336821862f, -0.115505308f, 1.80559826f,
+      -0.00278784335f, -0.0890511647f, -0.922199965f, 0.155876458f,
+      -0.704494417f, 0.799954951f, -0.48137325f, -0.0356689803f, -1.06222045f,
+      0.512442112f, 1.09108973f, 0.905622661f, 0.279534876f, -1.02235329f,
+      -2.74289441f, -0.356881708f, -0.107324816f, 0.305339068f, 0.149095029f,
+      0.0244283658f, -0.740868866f, -0.118966326f, 1.19968259f, -0.649178267f,
+      -0.123223826f, -1.28787696f, -0.804735601f, 1.37665737f, -0.460540175f,
+      0.664781868f, 0.723231077f, 0.442639232f, 0.0900460482f, -0.422436118f,
+      -0.353883356f, -0.0343934372f,
+  };
+  std::vector<float> row = model.ScoreQueries({query}).front();
+  ASSERT_EQ(row.size(), expected.size());
+  for (size_t i = 0; i < row.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(row[i]),
+              std::bit_cast<uint32_t>(expected[i]))
+        << "entity " << i << ": " << row[i] << " vs " << expected[i];
+  }
 }
 
 // Serving builds a subgraph per batch, so its node count — and the [N, d]

@@ -5,7 +5,7 @@
 // and the structured EpochStats training API that replaced the scalar
 // TrainEpoch return.
 
-#include <cmath>
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -265,20 +265,6 @@ TEST_F(ObservabilityTest, EpochStatsComponentsSumToLoss) {
             stats.seconds_forward + stats.seconds_backward);
   EXPECT_GT(stats.grad_norm, 0.0);
   EXPECT_FALSE(stats.ToString().empty());
-}
-
-TEST_F(ObservabilityTest, TrainEpochLossShimMatchesStructuredLoss) {
-  // Two identical models (same data, config, seed) step in lockstep: the
-  // deprecated scalar shim must return exactly the structured total.
-  TkgDataset data_a = ObsData();
-  TkgDataset data_b = ObsData();
-  LogClModel a(&data_a, ObsConfig());
-  LogClModel b(&data_b, ObsConfig());
-  AdamOptimizer opt_a(a.Parameters(), {});
-  AdamOptimizer opt_b(b.Parameters(), {});
-  double structured = a.TrainEpoch(&opt_a).loss;
-  double shim = b.TrainEpochLoss(&opt_b);
-  EXPECT_NEAR(structured, shim, 1e-9 * std::max(1.0, std::abs(structured)));
 }
 
 TEST_F(ObservabilityTest, TrainEpochFeedsTraceHistograms) {

@@ -11,7 +11,6 @@
 #include "core/logcl_model.h"
 #include "synth/generator.h"
 #include "tensor/checkpoint.h"
-#include "tensor/serialization.h"
 #include "tkg/filters.h"
 
 namespace logcl {
@@ -31,7 +30,7 @@ TEST(SerializationTest, RoundTripPreservesValues) {
       Tensor::Scalar(2.5f, true),
   };
   std::string path = TempPath("logcl_ckpt_roundtrip.bin");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
+  ASSERT_TRUE(checkpoint::Save(params, path).ok());
 
   Rng rng2(99);
   std::vector<Tensor> restored = {
@@ -39,7 +38,7 @@ TEST(SerializationTest, RoundTripPreservesValues) {
       Tensor::RandomNormal(Shape{7}, 1.0f, &rng2, true),
       Tensor::Scalar(0.0f, true),
   };
-  ASSERT_TRUE(LoadParameters(path, &restored).ok());
+  ASSERT_TRUE(checkpoint::Load(path, &restored).ok());
   for (size_t i = 0; i < params.size(); ++i) {
     EXPECT_EQ(restored[i].data(), params[i].data()) << "tensor " << i;
   }
@@ -51,9 +50,9 @@ TEST(SerializationTest, ShapeMismatchIsRejected) {
   std::vector<Tensor> params = {Tensor::RandomNormal(Shape{2, 2}, 1.0f, &rng,
                                                      true)};
   std::string path = TempPath("logcl_ckpt_shape.bin");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
+  ASSERT_TRUE(checkpoint::Save(params, path).ok());
   std::vector<Tensor> wrong = {Tensor::Zeros(Shape{2, 3}, true)};
-  Status status = LoadParameters(path, &wrong);
+  Status status = checkpoint::Load(path, &wrong);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   fs::remove(path);
@@ -64,10 +63,10 @@ TEST(SerializationTest, CountMismatchIsRejected) {
   std::vector<Tensor> params = {Tensor::RandomNormal(Shape{2}, 1.0f, &rng,
                                                      true)};
   std::string path = TempPath("logcl_ckpt_count.bin");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
+  ASSERT_TRUE(checkpoint::Save(params, path).ok());
   std::vector<Tensor> wrong = {Tensor::Zeros(Shape{2}, true),
                                Tensor::Zeros(Shape{2}, true)};
-  EXPECT_FALSE(LoadParameters(path, &wrong).ok());
+  EXPECT_FALSE(checkpoint::Load(path, &wrong).ok());
   fs::remove(path);
 }
 
@@ -79,7 +78,7 @@ TEST(SerializationTest, GarbageFileIsRejected) {
     std::fclose(f);
   }
   std::vector<Tensor> params = {Tensor::Zeros(Shape{1}, true)};
-  Status status = LoadParameters(path, &params);
+  Status status = checkpoint::Load(path, &params);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   fs::remove(path);
@@ -87,7 +86,7 @@ TEST(SerializationTest, GarbageFileIsRejected) {
 
 TEST(SerializationTest, MissingFileIsIoError) {
   std::vector<Tensor> params = {Tensor::Zeros(Shape{1}, true)};
-  EXPECT_EQ(LoadParameters("/nonexistent/ckpt.bin", &params).code(),
+  EXPECT_EQ(checkpoint::Load("/nonexistent/ckpt.bin", &params).code(),
             StatusCode::kIoError);
 }
 
@@ -218,11 +217,11 @@ TEST(SerializationTest, TrainedModelSurvivesRestart) {
   AdamOptimizer optimizer(trained.Parameters(), {});
   trained.TrainEpoch(&optimizer);
   std::string path = TempPath("logcl_ckpt_model.bin");
-  ASSERT_TRUE(SaveParameters(trained.Parameters(), path).ok());
+  ASSERT_TRUE(checkpoint::Save(trained.Parameters(), path).ok());
 
   LogClModel restored(&data, model_config);
   std::vector<Tensor> params = restored.Parameters();
-  ASSERT_TRUE(LoadParameters(path, &params).ok());
+  ASSERT_TRUE(checkpoint::Load(path, &params).ok());
 
   std::vector<Quadruple> queries = {{0, 0, 1, 17}, {3, 2, 5, 17}};
   EXPECT_EQ(trained.ScoreQueries(queries), restored.ScoreQueries(queries));

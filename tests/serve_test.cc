@@ -21,8 +21,8 @@
 #include "serve/engine_snapshot.h"
 #include "serve/inference_engine.h"
 #include "synth/generator.h"
+#include "tensor/checkpoint.h"
 #include "tensor/optimizer.h"
-#include "tensor/serialization.h"
 #include "tkg/dataset.h"
 
 namespace logcl {
@@ -446,7 +446,7 @@ TEST(ServeCheckpointTest, LoadedModelServesIdenticalScores) {
   trained.TrainEpoch(&optimizer);  // move weights off their init values
   std::string path =
       (fs::temp_directory_path() / "logcl_serve_ckpt.bin").string();
-  ASSERT_TRUE(SaveParameters(trained.Parameters(), path).ok());
+  ASSERT_TRUE(checkpoint::Save(trained.Parameters(), path).ok());
 
   LogClModel deployed(&data, ServeConfig());
   ASSERT_TRUE(LoadModelCheckpoint(&deployed, path).ok());

@@ -133,21 +133,30 @@ TEST(TkgDatasetTest, TsvRoundTrip) {
   fs::remove_all(dir);
 }
 
-TEST(TkgDatasetTest, LoadTsvNegativeIdIsInvalidArgument) {
+// Saves TinyDataset as TSV, appends `line` to `split`, and loads it back.
+Status LoadTinyTsvWithLine(const std::string& split, const std::string& line) {
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "logcl_tsv_negative_test";
+  fs::path dir = fs::temp_directory_path() / ("logcl_tsv_line_" + split);
   fs::create_directories(dir);
-  ASSERT_TRUE(TinyDataset().SaveTsv(dir.string()).ok());
-  {
-    std::ofstream valid(dir / "valid.txt", std::ios::app);
-    valid << "-3\t0\t1\t1\n";
-  }
+  Status saved = TinyDataset().SaveTsv(dir.string());
+  if (!saved.ok()) return saved;
+  std::ofstream(dir / split, std::ios::app) << line;
   Result<TkgDataset> r = TkgDataset::LoadTsv(dir.string(), "x");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("valid.txt:"), std::string::npos)
-      << r.status().ToString();
   fs::remove_all(dir);
+  return r.ok() ? Status::Ok() : r.status();
+}
+
+TEST(TkgDatasetTest, LoadTsvNegativeIdIsInvalidArgument) {
+  Status s = LoadTinyTsvWithLine("valid.txt", "-3\t0\t1\t1\n");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("valid.txt:"), std::string::npos) << s.ToString();
+}
+
+// A huge time id would size the per-time index from the file.
+TEST(TkgDatasetTest, LoadTsvHugeTimeIdIsInvalidArgument) {
+  Status s = LoadTinyTsvWithLine("test.txt", "0\t0\t1\t1000000000000\n");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("test.txt:"), std::string::npos) << s.ToString();
 }
 
 TEST(TkgDatasetTest, LoadTsvMissingDirFails) {
